@@ -29,7 +29,6 @@ from .iteration import (
 from .linalg import (
     DimensionMismatchError,
     EigenDecomposition,
-    JacobiConvergenceError,
     inner,
     matvec,
     norm2,
@@ -59,7 +58,6 @@ __all__ = [
     "EigenDecomposition",
     "Hyperplane",
     "IterationTrace",
-    "JacobiConvergenceError",
     "LinearSystem",
     "SingularMatrixError",
     "SpectralReport",

@@ -9,6 +9,7 @@ files or stdout.
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,6 @@ from .iteration import (
     cimmino_step, solve,
 )
 from .geometry import internormal_angle
-from .linalg import JacobiConvergenceError
 from .spectral import analyze, error_envelope, rho_two_weights
 
 EXIT_OK = 0
@@ -41,6 +41,13 @@ _DEMO_FIGURE1 = (((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0)), (0.0, 0.0))
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only a lone negative number as a value; widen that
+        # to a comma-separated numeric list such as "-1,2", so "--x0 -1,2"
+        # is not mistaken for an option.
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,]*$")
+
     # argparse exits 2 on usage errors by default; 2 is reserved for the
     # iteration budget here, so remap usage errors to 1.
     def error(self, message):
@@ -314,9 +321,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, JacobiConvergenceError) as exc:
+    except (ValueError, OSError) as exc:
         # Covers dimension errors, Matrix Market errors, singular matrices,
-        # unreadable/unwritable paths.
+        # LAPACK failures (LinAlgError), unreadable/unwritable paths.
         print(f"cimmino: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

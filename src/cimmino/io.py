@@ -113,25 +113,30 @@ def read_matrix_market(path) -> np.ndarray:
     coordinate is an error, not a sum.  Symmetric storage (lower triangle)
     is expanded.  Files describing more than 10^6 entries are refused.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        fmt, symmetry = _parse_header(fh.readline(), path)
+    # Binary mode: a text-mode reader decodes whole buffered chunks, so a
+    # bad byte just past the size line would fail before the budget check.
+    with open(path, "rb") as fh:
+        fmt, symmetry = _parse_header(fh.readline().decode("ascii"), path)
         size_line = None
         for raw in fh:
-            stripped = raw.strip()
+            stripped = raw.decode("ascii").strip()
             if not stripped or stripped.startswith("%"):
                 continue
             size_line = stripped
             break
         if size_line is None:
             raise MatrixMarketError("missing-size", f"{path}: no size line")
-        body = fh.read().split()
+        # Size and budget are checked before the body is read, so an
+        # oversized file is refused without being tokenized.
+        if fmt is MatrixMarketFormat.ARRAY:
+            rows, cols = _parse_size(size_line.split(), 2, path)
+        else:
+            rows, cols, nnz = _parse_size(size_line.split(), 3, path)
+        _check_entry_budget(rows, cols, path)
+        body = fh.read().decode("ascii").split()
 
     if fmt is MatrixMarketFormat.ARRAY:
-        rows, cols = _parse_size(size_line.split(), 2, path)
-        _check_entry_budget(rows, cols, path)
         return _read_array_body(body, rows, cols, symmetry, path)
-    rows, cols, nnz = _parse_size(size_line.split(), 3, path)
-    _check_entry_budget(rows, cols, path)
     return _read_coordinate_body(body, rows, cols, nnz, symmetry, path)
 
 

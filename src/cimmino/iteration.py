@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .geometry import Hyperplane, reflect
 from .linalg import DimensionMismatchError, as_matrix, as_vector
 
@@ -30,13 +29,6 @@ class Termination(enum.Enum):
     CONVERGED = "Converged"
     MAX_ITERATIONS = "MaxIterations"
     DIVERGED = "Diverged"
-
-
-_STATUS_TO_TERMINATION = {
-    kernels.STATUS_CONVERGED: Termination.CONVERGED,
-    kernels.STATUS_MAX_ITERATIONS: Termination.MAX_ITERATIONS,
-    kernels.STATUS_DIVERGED: Termination.DIVERGED,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +125,21 @@ class IterationTrace:
 def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     """One weighted simultaneous-reflection step in algebraic form.
 
-    Returns x + sum_i w_i (b_i - <a_i, x>) / ||a_i||^2 * a_i, with the
-    row terms reduced in ascending row order.
+    Returns x + sum_i w_i (b_i - <a_i, x>) / ||a_i||^2 * a_i, the row sum
+    taken as one vector-matrix product.
     """
     x = as_vector(x)
     if x.size != system.n:
         raise DimensionMismatchError(f"iterate has length {x.size}, system is {system.n}")
     w = as_weights(weights, system.n)
     a = system.matrix
-    coef = w * (system.rhs - a @ x) / system.row_norms_sq
-    return x + np.add.reduce(coef[:, None] * a, axis=0)
+    coef = w / system.row_norms_sq
+    return _step(a, x, coef, system.rhs - a @ x)
+
+
+def _step(a, x, coef, r) -> np.ndarray:
+    # The one step formula, shared by cimmino_step and the solve loop.
+    return x + (coef * r) @ a
 
 
 def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
@@ -228,16 +225,12 @@ def solve(system: LinearSystem, weights=None, x0=None,
                 f"known_solution has length {solution.size}, system is {n}"
             )
 
-    a = np.ascontiguousarray(system.matrix)
-    b = np.ascontiguousarray(system.rhs)
-    coef = np.ascontiguousarray(w / system.row_norms_sq)
+    b = system.rhs
+    coef = w / system.row_norms_sq
     stop_abs = residual_tol * (1.0 + float(np.sqrt(np.sum(b * b))))
     hist = np.empty((max_iter + 1, n))
     resnorms = np.empty(max_iter + 1)
-    k, status = kernels.iterate(
-        a, b, coef, np.ascontiguousarray(x0), hist, resnorms,
-        stop_abs, DIVERGENCE_SENTINEL,
-    )
+    k, terminated = _iterate(system.matrix, b, coef, x0, hist, resnorms, stop_abs)
     iterates = hist[: k + 1].copy()
     residual_norms = resnorms[: k + 1].copy()
     iterates.setflags(write=False)
@@ -256,11 +249,36 @@ def solve(system: LinearSystem, weights=None, x0=None,
     return IterationTrace(
         iterates=iterates,
         residual_norms=residual_norms,
-        terminated=_STATUS_TO_TERMINATION[int(status)],
+        terminated=terminated,
         error_norms=error_norms,
         step_ratios=step_ratios,
         undefined_ratio_indices=undefined,
     )
+
+
+def _iterate(a, b, coef, x0, hist, resnorms, stop_abs) -> tuple[int, Termination]:
+    """Run the reflection step until a stop condition fires.
+
+    ``hist``/``resnorms`` are preallocated with ``max_iter + 1`` rows and
+    are filled with the iterates x^(0..k) and their residual norms.
+    Returns ``(k, terminated)`` where ``k + 1`` rows of ``hist`` are valid.
+    """
+    max_iter = hist.shape[0] - 1
+    x = x0
+    k = 0
+    while True:
+        r = b - a @ x
+        res = float(np.sqrt(np.sum(r * r)))
+        hist[k] = x
+        resnorms[k] = res
+        if res <= stop_abs:
+            return k, Termination.CONVERGED
+        if np.sqrt(np.sum(x * x)) > DIVERGENCE_SENTINEL:
+            return k, Termination.DIVERGED
+        if k == max_iter:
+            return k, Termination.MAX_ITERATIONS
+        x = _step(a, x, coef, r)
+        k += 1
 
 
 def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None]]:

@@ -1,32 +1,16 @@
 """Minimal dense linear algebra: validated vectors/matrices and a symmetric
-eigendecomposition based on cyclic Jacobi rotations."""
+eigendecomposition through LAPACK."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 # Relative asymmetry admitted before the eigensolver rejects its input.
 ASYMMETRY_TOL = 1e-12
-DEFAULT_EIGEN_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 100
 
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the sweep cap before reaching the target tolerance."""
-
-    def __init__(self, off_norm: float, sweeps: int):
-        self.off_norm = off_norm
-        self.sweeps = sweeps
-        super().__init__(
-            f"Jacobi eigensolver did not converge in {sweeps} sweeps; "
-            f"best off-diagonal norm {off_norm:.3e}"
-        )
 
 
 def as_vector(values) -> np.ndarray:
@@ -89,47 +73,43 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sweeps: int
-    off_norm: float
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
 
 
-def symmetric_eigen(b, tol: float = DEFAULT_EIGEN_TOL,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by row-cyclic Jacobi rotations.
+def symmetric_eigen(b) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Sweeps run until the off-diagonal Frobenius norm falls to
-    ``tol * ||B||_F`` or ``max_sweeps`` is reached.  The input must be
-    symmetric to within ``1e-12 * (1 + max|B|)`` per entry; it is then
-    symmetrized as (B + B^T)/2 so rounding drift cannot leak complex
-    eigenvalues.  Deterministic for identical input.
+    The input must be symmetric to within ``1e-12 * (1 + max|B|)`` per
+    entry; it is then symmetrized as (B + B^T)/2 so rounding drift cannot
+    leak complex eigenvalues.
+
+    Determinism contract: identical input under an identical BLAS thread
+    setting gives bit-identical output.  Across thread counts the bits may
+    differ at large n, because the threaded BLAS calls inside LAPACK split
+    their sums by thread; every 2x2 comes out the same at any thread count.
 
     Parameters
     ----------
     b : array_like
         Square symmetric matrix.
-    tol : float
-        Relative off-diagonal target, > 0.
-    max_sweeps : int
-        Sweep cap; exceeding it raises ``JacobiConvergenceError`` carrying
-        the best off-diagonal norm reached.
 
     Returns
     -------
     EigenDecomposition
         Eigenvalues ascending (ties adjacent), eigenvector columns aligned.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        When LAPACK fails to converge (a ``ValueError`` subclass).
     """
     b = as_matrix(b)
     n, m = b.shape
     if n != m:
         raise DimensionMismatchError(f"eigendecomposition needs a square matrix, got {n}x{m}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     scale = 1.0 + float(np.max(np.abs(b)))
     asym = float(np.max(np.abs(b - b.T)))
     if asym > ASYMMETRY_TOL * scale:
@@ -137,17 +117,7 @@ def symmetric_eigen(b, tol: float = DEFAULT_EIGEN_TOL,
             f"matrix is not symmetric: max |B_ij - B_ji| = {asym:.3e} "
             f"exceeds {ASYMMETRY_TOL * scale:.3e}"
         )
-    work = (b + b.T) / 2.0
-    basis = np.eye(n)
-    frob_sq = float(np.sum(work * work))
-    thresh_sq = (tol * tol) * frob_sq
-    sweeps, off_norm, converged = kernels.jacobi_cycle(work, basis, thresh_sq, max_sweeps)
-    if not converged:
-        raise JacobiConvergenceError(float(off_norm), sweeps)
-    diag = np.diag(work).copy()
-    order = np.argsort(diag, kind="stable")
-    eigenvalues = diag[order]
-    eigenvectors = basis[:, order]
+    eigenvalues, eigenvectors = np.linalg.eigh((b + b.T) / 2.0)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
-    return EigenDecomposition(eigenvalues, eigenvectors, sweeps, float(off_norm))
+    return EigenDecomposition(eigenvalues, eigenvectors)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import internormal_angle
 from .iteration import LinearSystem, as_weights, unit_weights
-from .linalg import EigenDecomposition, symmetric_eigen
+from .linalg import symmetric_eigen
 
 # lambda_1 <= SINGULARITY_RATIO * lambda_n is treated as a singular matrix.
 SINGULARITY_RATIO = 1e-14
@@ -95,16 +95,15 @@ class TwoByTwoSpectrum:
 
 
 def weighted_normal_matrix(system: LinearSystem, weights=None) -> np.ndarray:
-    """B = A^T D_w A = sum_i w_i P_i, assembled row by row.
+    """B = A^T D_w A = sum_i w_i P_i, assembled by one matrix product.
 
-    Each term is w_i / ||a_i||^2 times the outer product of row i with
-    itself, so the result is exactly symmetric.
+    The upper triangle is mirrored into the lower one, so the result is
+    exactly symmetric (the product alone is not, to the last bit).
     """
     w = unit_weights(system.n) if weights is None else as_weights(weights, system.n)
     a = system.matrix
-    b = np.zeros((system.n, system.n))
-    for i in range(system.n):
-        b += (w[i] / system.row_norms_sq[i]) * np.outer(a[i], a[i])
+    b = a.T @ ((w / system.row_norms_sq)[:, None] * a)
+    np.copyto(b, b.T, where=np.tri(system.n, k=-1, dtype=bool))
     b.setflags(write=False)
     return b
 
@@ -133,8 +132,8 @@ def analyze(system: LinearSystem, weights=None,
     flags a numerically singular coefficient matrix.
     """
     w = unit_weights(system.n) if weights is None else as_weights(weights, system.n)
-    eig = _eigen_of_normal_matrix(system, w)
-    lam = eig.eigenvalues
+    b = weighted_normal_matrix(system, w)
+    lam = symmetric_eigen(b).eigenvalues
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
     if lam_min <= SINGULARITY_RATIO * lam_max:
@@ -154,12 +153,8 @@ def analyze(system: LinearSystem, weights=None,
         convergence_class=_classify(rho),
         optimal_alpha=2.0 / (lam_min + lam_max),
         optimal_scaled_rate=(kappa - 1.0) / (kappa + 1.0),
-        tight_frame=is_tight_frame(system, w, tight_frame_tol),
+        tight_frame=_is_identity(b, tight_frame_tol),
     )
-
-
-def _eigen_of_normal_matrix(system: LinearSystem, w) -> EigenDecomposition:
-    return symmetric_eigen(weighted_normal_matrix(system, w))
 
 
 def classify_convergence(system: LinearSystem, weights=None) -> ConvergenceClass:
@@ -184,8 +179,11 @@ def is_tight_frame(system: LinearSystem, weights=None,
                    tol: float = DEFAULT_TIGHT_FRAME_TOL) -> bool:
     """True when sum_i w_i P_i = I (within ``tol``, max-norm), in which case
     the iteration reaches the exact solution in a single step."""
-    b = weighted_normal_matrix(system, weights)
-    return float(np.max(np.abs(b - np.eye(system.n)))) <= tol
+    return _is_identity(weighted_normal_matrix(system, weights), tol)
+
+
+def _is_identity(b: np.ndarray, tol: float) -> bool:
+    return float(np.max(np.abs(b - np.eye(b.shape[0])))) <= tol
 
 
 def contraction_factor_2d(w1: float, w2: float, theta: float) -> TwoByTwoSpectrum:

@@ -1,6 +1,8 @@
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,26 @@ def test_solve_example2_from_marked_start(example2_files, capsys):
     assert code == 0
     assert "iterations: 1" in out
     assert "x: 1.0 1.0" in out
+
+
+@pytest.mark.parametrize("option, value", [("--x0", "-1,2"), ("--solution", "-1,2")])
+def test_solve_takes_negative_list_as_separate_argument(example1_files, tmp_path, capsys,
+                                                        option, value):
+    mat, rhs = example1_files
+    trace_path = tmp_path / "trace.csv"
+    code = cli.main([
+        "solve", "--matrix", mat, "--rhs", rhs, option, value,
+        "--trace-out", str(trace_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    rows = cio.read_trace_csv(trace_path)
+    if option == "--x0":
+        # Residual of x0 = (-1, 2) against b = (3, 3): r = (3, 0).
+        assert rows[0][1] == 3.0
+    else:
+        # Error of x0 = 0 against the given solution: ||(-1, 2)|| = sqrt(5).
+        assert rows[0][2] == pytest.approx(5.0 ** 0.5, rel=1e-15)
 
 
 def test_solve_doubled_weights_exits_3(example1_files, capsys):
@@ -331,3 +353,34 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
     assert bytes1 == bytes2
+
+
+def _analyze_json_bytes(matrix_path, out_path, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "cimmino", "analyze", "--matrix", str(matrix_path),
+         "--json-out", str(out_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return out_path.read_bytes()
+
+
+def test_analyze_bytes_deterministic_per_blas_thread_count(tmp_path):
+    # Contract: identical input and BLAS thread setting give identical
+    # bytes.  Across thread counts only the 2x2 is pinned; large-n
+    # eigenvalue bits may legitimately differ there.
+    small = tmp_path / "example1.mtx"
+    write_mm_array(small, [[2.0, 1.0], [1.0, 2.0]])
+    large = tmp_path / "n128.mtx"
+    write_mm_array(large, np.random.default_rng(128).standard_normal((128, 128)))
+    out = tmp_path / "report.json"
+    by_threads = {}
+    for threads in (1, 2):
+        for path in (small, large):
+            first = _analyze_json_bytes(path, out, threads)
+            second = _analyze_json_bytes(path, out, threads)
+            assert first == second, f"{path.name} at {threads} thread(s)"
+            by_threads[threads, path.name] = first
+    assert by_threads[1, small.name] == by_threads[2, small.name]

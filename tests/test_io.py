@@ -134,6 +134,15 @@ def test_malformed_fixtures_rejected_with_distinct_reasons(tmp_path, reason):
     assert excinfo.value.reason == reason
 
 
+def test_oversized_file_refused_before_body_is_read(tmp_path):
+    # The body is not ASCII; refusing on the size line alone never decodes it.
+    path = tmp_path / "big.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix array real general\n2000 2000\n\xff1\n")
+    with pytest.raises(cio.MatrixMarketError) as excinfo:
+        cio.read_matrix_market(path)
+    assert excinfo.value.reason == "too-large"
+
+
 def test_field_pattern_also_rejected(tmp_path):
     path = _write(
         tmp_path, "p.mtx",

@@ -17,7 +17,9 @@ from cimmino import (
     iteration_matrix,
     optimal_scaling,
     optimality_gap,
+    projection_matrix,
     solve,
+    unit_normal,
     weighted_normal_matrix,
 )
 from cimmino.spectral import rho_two_weights
@@ -60,11 +62,27 @@ def test_normal_matrix_orthonormal_rows_give_identity(n):
     assert np.max(np.abs(b - np.eye(n))) <= 1e-13
 
 
-def test_normal_matrix_is_exactly_symmetric():
+@pytest.mark.parametrize("n", [5, 128])
+def test_normal_matrix_is_exactly_symmetric(n):
+    # The matrix product alone is not bit-symmetric at these sizes; the
+    # mirrored triangle makes it so.
     rng = np.random.default_rng(23)
-    system = random_nonsingular_system(rng, 5)
-    b = weighted_normal_matrix(system, rng.uniform(0.1, 2.0, size=5))
+    system = random_nonsingular_system(rng, n)
+    b = weighted_normal_matrix(system, rng.uniform(0.1, 2.0, size=n))
     assert np.array_equal(b, b.T)
+
+
+@pytest.mark.parametrize("n", [5, 128])
+def test_normal_matrix_matches_sum_of_weighted_projections(n):
+    # Reference: the definition sum_i w_i P_i, one rank-one term per row.
+    # The matrix product sums in another order, so the two agree to
+    # rounding: each entry is a sum of n terms bounded by w_i.
+    rng = np.random.default_rng(29)
+    system = random_nonsingular_system(rng, n)
+    w = rng.uniform(0.1, 2.0, size=n)
+    reference = sum(w[i] * projection_matrix(unit_normal(system.matrix[i])) for i in range(n))
+    b = weighted_normal_matrix(system, w)
+    assert np.max(np.abs(b - reference)) <= 4.0 * n * np.finfo(np.float64).eps * np.sum(w)
 
 
 def test_iteration_matrix_complements_normal_matrix(example1):
