@@ -29,9 +29,6 @@ from .iteration import (
 from .linalg import (
     DimensionMismatchError,
     EigenDecomposition,
-    inner,
-    matvec,
-    norm2,
     symmetric_eigen,
 )
 from .spectral import (
@@ -71,13 +68,10 @@ __all__ = [
     "contraction_factor_2d",
     "error_envelope",
     "error_sequence",
-    "inner",
     "internormal_angle",
     "is_tight_frame",
     "iteration_matrix",
     "masses_to_weights",
-    "matvec",
-    "norm2",
     "optimal_scaling",
     "optimality_gap",
     "projection_matrix",

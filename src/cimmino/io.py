@@ -11,8 +11,6 @@ reproducible for identical inputs.
 import enum
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -231,25 +229,9 @@ def read_rhs_vector(path) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class SystemFile:
-    """Paths of a matrix/rhs pair on disk, loadable into a LinearSystem."""
-
-    matrix_path: Path
-    rhs_path: Path
-
-    def formats(self) -> tuple[MatrixMarketFormat, MatrixMarketFormat]:
-        return matrix_market_format(self.matrix_path), matrix_market_format(self.rhs_path)
-
-    def load(self) -> LinearSystem:
-        matrix = read_matrix_market(self.matrix_path)
-        rhs = read_rhs_vector(self.rhs_path)
-        return LinearSystem(matrix, rhs)
-
-
 def load_system(matrix_path, rhs_path) -> LinearSystem:
     """Read matrix and right-hand side files into a validated LinearSystem."""
-    return SystemFile(Path(matrix_path), Path(rhs_path)).load()
+    return LinearSystem(read_matrix_market(matrix_path), read_rhs_vector(rhs_path))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +246,16 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
     denominator underflowed.  Rows appear in iteration order and the final
     line is newline-terminated.
     """
-    if trace.error_norms is not None:
-        table = {nu: (err, ratio) for nu, err, ratio in error_sequence(trace)}
+    if trace.error_norms is None:
+        cells = [("", "")] * trace.residual_norms.size
     else:
-        table = {}
+        cells = [
+            (format_float(err), "" if ratio is None else format_float(ratio))
+            for _, err, ratio in error_sequence(trace)
+        ]
     lines = [TRACE_CSV_HEADER]
-    for nu in range(trace.iterates.shape[0]):
-        err_val, ratio_val = table.get(nu, (None, None))
-        err = "" if err_val is None else format_float(err_val)
-        ratio = "" if ratio_val is None else format_float(ratio_val)
-        lines.append(f"{nu},{format_float(trace.residual_norms[nu])},{err},{ratio}")
+    for nu, (residual, (err, ratio)) in enumerate(zip(trace.residual_norms, cells)):
+        lines.append(f"{nu},{format_float(residual)},{err},{ratio}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

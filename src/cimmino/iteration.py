@@ -10,6 +10,7 @@ Both forms are provided, plus a trace-recording driver.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,18 +100,26 @@ class IterationTrace:
 
     ``iterates`` has one row per recorded x^(nu) (including x^(0)),
     ``residual_norms`` the matching ||b - A x||_2.  When the true solution
-    was supplied, ``error_norms`` holds ||x^(nu) - solution||_2 and
-    ``step_ratios`` the consecutive quotients error[nu+1]/error[nu]; ratios
-    whose denominator is below 1e-300 are omitted, with their indices kept
-    in ``undefined_ratio_indices``.
+    was supplied, ``error_norms`` holds ||x^(nu) - solution||_2.
     """
 
     iterates: np.ndarray
     residual_norms: np.ndarray
     terminated: Termination
     error_norms: np.ndarray | None = None
-    step_ratios: np.ndarray | None = None
-    undefined_ratio_indices: tuple[int, ...] = ()
+
+    @property
+    def step_ratios(self) -> np.ndarray | None:
+        """The defined quotients error[nu+1]/error[nu], in order.
+
+        A ratio whose denominator is below 1e-300 is undefined and omitted;
+        ``error_sequence`` keeps the step alignment instead.  None when the
+        trace has no error norms.
+        """
+        if self.error_norms is None:
+            return None
+        ratios = _aligned_ratios(self.error_norms)
+        return ratios[~np.isnan(ratios)]
 
     @property
     def iterations(self) -> int:
@@ -159,23 +168,6 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     for i, plane in enumerate(system.hyperplanes()):
         reflections[i] = reflect(x, plane)
     return np.add.reduce(m[:, None] * reflections, axis=0) / float(np.sum(m))
-
-
-def step_ratios_from_errors(error_norms) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Consecutive error quotients, omitting ratios whose denominator underflows.
-
-    Returns ``(ratios, undefined_indices)`` where index k refers to the
-    ratio error[k+1]/error[k].
-    """
-    e = np.asarray(error_norms, dtype=np.float64)
-    ratios = []
-    undefined = []
-    for k in range(e.size - 1):
-        if e[k] < RATIO_DENOMINATOR_FLOOR:
-            undefined.append(k)
-        else:
-            ratios.append(e[k + 1] / e[k])
-    return np.array(ratios), tuple(undefined)
 
 
 def solve(system: LinearSystem, weights=None, x0=None,
@@ -237,22 +229,16 @@ def solve(system: LinearSystem, weights=None, x0=None,
     residual_norms.setflags(write=False)
 
     error_norms = None
-    step_ratios = None
-    undefined: tuple[int, ...] = ()
     if solution is not None:
         diffs = iterates - solution
         error_norms = np.sqrt(np.sum(diffs * diffs, axis=1))
-        step_ratios, undefined = step_ratios_from_errors(error_norms)
         error_norms.setflags(write=False)
-        step_ratios.setflags(write=False)
 
     return IterationTrace(
         iterates=iterates,
         residual_norms=residual_norms,
         terminated=terminated,
         error_norms=error_norms,
-        step_ratios=step_ratios,
-        undefined_ratio_indices=undefined,
     )
 
 
@@ -281,6 +267,15 @@ def _iterate(a, b, coef, x0, hist, resnorms, stop_abs) -> tuple[int, Termination
         k += 1
 
 
+def _aligned_ratios(error_norms: np.ndarray) -> np.ndarray:
+    """error[nu]/error[nu-1] at index nu, NaN at nu = 0 and wherever the
+    denominator is below RATIO_DENOMINATOR_FLOOR."""
+    ratios = np.full(error_norms.size, np.nan)
+    prev = error_norms[:-1]
+    np.divide(error_norms[1:], prev, out=ratios[1:], where=prev >= RATIO_DENOMINATOR_FLOOR)
+    return ratios
+
+
 def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None]]:
     """Flatten a traced run into (step, error_norm, ratio) rows for export.
 
@@ -290,14 +285,8 @@ def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None
     """
     if trace.error_norms is None:
         raise ValueError("known solution required: trace has no error norms")
-    ratios: dict[int, float] = {}
-    cursor = 0
-    for k in range(trace.error_norms.size - 1):
-        if k in trace.undefined_ratio_indices:
-            continue
-        ratios[k + 1] = float(trace.step_ratios[cursor])
-        cursor += 1
+    ratios = _aligned_ratios(trace.error_norms)
     return [
-        (nu, float(err), ratios.get(nu))
-        for nu, err in enumerate(trace.error_norms)
+        (nu, float(err), None if math.isnan(ratio) else float(ratio))
+        for nu, (err, ratio) in enumerate(zip(trace.error_norms, ratios))
     ]

@@ -35,34 +35,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.size:
-        raise DimensionMismatchError(
-            f"matrix has {m.shape[1]} columns but vector has length {v.size}"
-        )
-    return m @ v
-
-
-def norm2(v) -> float:
-    """Euclidean norm."""
-    v = as_vector(v)
-    return float(np.sqrt(np.sum(v * v)))
-
-
-def inner(u, v) -> float:
-    """Euclidean inner product; lengths must match."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size != v.size:
-        raise DimensionMismatchError(
-            f"inner product of lengths {u.size} and {v.size}"
-        )
-    return float(np.dot(u, v))
-
-
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues in ascending order with the matching orthogonal column basis.

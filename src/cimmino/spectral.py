@@ -80,18 +80,19 @@ class TwoByTwoSpectrum:
     ``spread`` is the eigenvalue gap of the weighted normal matrix,
     sqrt((w1 - w2)^2 + 4 w1 w2 cos^2 theta); its eigenvalues are
     mean_weight -/+ spread/2 and the contraction factor is
-    |1 - mean_weight| + spread/2.
+    |1 - mean_weight| + spread/2.  The angle-dependent fields are floats
+    for one angle and arrays for an array of angles.
     """
 
-    theta: float
+    theta: float | np.ndarray
     w1: float
     w2: float
     mean_weight: float
     half_diff: float
-    spread: float
-    eig_low: float
-    eig_high: float
-    rho: float
+    spread: float | np.ndarray
+    eig_low: float | np.ndarray
+    eig_high: float | np.ndarray
+    rho: float | np.ndarray
 
 
 def weighted_normal_matrix(system: LinearSystem, weights=None) -> np.ndarray:
@@ -186,27 +187,35 @@ def _is_identity(b: np.ndarray, tol: float) -> bool:
     return float(np.max(np.abs(b - np.eye(b.shape[0])))) <= tol
 
 
-def contraction_factor_2d(w1: float, w2: float, theta: float) -> TwoByTwoSpectrum:
+def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     """Closed-form contraction factor for n = 2 from (w1, w2, theta) alone.
 
     rho = |1 - (w1 + w2)/2| + sqrt((w1 - w2)^2 + 4 w1 w2 cos^2 theta) / 2.
-    theta must lie strictly inside (0, pi): the endpoints describe parallel
-    normals and hence a singular matrix.
+    ``theta`` is one angle or an array of angles; for an array, the fields
+    that depend on it (theta, spread, eig_low, eig_high, rho) are arrays of
+    its shape.  Each angle must lie strictly inside (0, pi): the endpoints
+    describe parallel normals and hence a singular matrix.
     """
     w1 = float(w1)
     w2 = float(w2)
-    theta = float(theta)
     if not (math.isfinite(w1) and w1 > 0.0) or not (math.isfinite(w2) and w2 > 0.0):
-        raise ValueError(f"weights must be positive, got ({w1}, {w2})")
-    if not math.isfinite(theta) or theta < THETA_ENDPOINT_TOL or theta > math.pi - THETA_ENDPOINT_TOL:
+        raise ValueError(f"weights must be finite and positive, got ({w1}, {w2})")
+    theta = np.asarray(theta, dtype=np.float64)
+    # NaN compares false, so it fails this test as well.
+    inside = (theta >= THETA_ENDPOINT_TOL) & (theta <= math.pi - THETA_ENDPOINT_TOL)
+    if not np.all(inside):
+        bad = float(theta[~inside][0])
         raise ValueError(
-            f"parallel normals: singular matrix (theta = {theta!r} is outside "
+            f"parallel normals: singular matrix (theta = {bad!r} is outside "
             f"({THETA_ENDPOINT_TOL}, pi - {THETA_ENDPOINT_TOL}))"
         )
     mean = 0.5 * (w1 + w2)
     half_diff = 0.5 * (w1 - w2)
-    cos = math.cos(theta)
-    spread = math.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
+    cos = np.cos(theta)
+    spread = np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
+    if theta.ndim == 0:
+        theta = float(theta)
+        spread = float(spread)
     return TwoByTwoSpectrum(
         theta=theta,
         w1=w1,
@@ -230,16 +239,6 @@ def optimality_gap(w1: float, w2: float, theta: float) -> float:
     return spectrum.rho - abs(math.cos(theta))
 
 
-def rho_two_weights(w1: float, w2: float, theta) -> np.ndarray:
-    """Vectorized closed 2x2 contraction factor over an array of angles."""
-    if not w1 > 0.0 or not w2 > 0.0:
-        raise ValueError(f"weights must be positive, got ({w1}, {w2})")
-    theta = np.asarray(theta, dtype=np.float64)
-    cos = np.cos(theta)
-    spread = np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
-    return np.abs(1.0 - 0.5 * (w1 + w2)) + 0.5 * spread
-
-
 def error_envelope(rho: float, initial_error: float, steps: int) -> np.ndarray:
     """Worst-case error envelope initial_error * rho**nu for nu = 0..steps.
 
@@ -249,10 +248,10 @@ def error_envelope(rho: float, initial_error: float, steps: int) -> np.ndarray:
     rho = float(rho)
     initial_error = float(initial_error)
     steps = int(steps)
-    if rho < 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if initial_error < 0.0:
-        raise ValueError(f"initial_error must be nonnegative, got {initial_error}")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+    if not (math.isfinite(initial_error) and initial_error >= 0.0):
+        raise ValueError(f"initial_error must be finite and nonnegative, got {initial_error}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     return initial_error * rho ** np.arange(steps + 1, dtype=np.float64)

@@ -301,6 +301,41 @@ def test_envelope_rejects_negative_rate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_envelope_overflowing_gap_prints_inf(tmp_path, capsys):
+    # (0.9/0.01)^1000 overflows a float: the gap reads inf, the run succeeds.
+    out_path = tmp_path / "env.csv"
+    code = cli.main([
+        "envelope", "--rho", "0.9,0.01", "--steps", "1000", "--out", str(out_path),
+    ])
+    assert code == 0
+    assert "(0.9/0.01)^1000 = inf" in capsys.readouterr().out
+    assert len(out_path.read_text(encoding="ascii").splitlines()) == 1002
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--theta-grid", "10:170:1", "--weights", "inf,1"], "finite and positive"),
+    (["envelope", "--rho", "nan", "--steps", "3"], "rho must be finite"),
+    (["envelope", "--rho", "0.5", "--e0", "inf", "--steps", "3"], "initial_error must be finite"),
+], ids=["sweep-weights-inf", "envelope-rho-nan", "envelope-e0-inf"])
+def test_non_finite_values_are_refused(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta-grid", "1:179:1e-12", "--weights", "1,1"],
+    ["envelope", "--rho", "0.5", "--steps", "100000000000000"],
+], ids=["sweep-theta-grid", "envelope-steps"])
+def test_oversized_grids_are_refused_before_allocation(tmp_path, capsys, argv):
+    # Counts of 1e14 and more: a run that tried to allocate would fail at once.
+    out_path = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out_path)]) == 1
+    assert "more than 1000000" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------

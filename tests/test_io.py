@@ -186,7 +186,7 @@ def test_load_system_round_trip(tmp_path, example1):
     system = cio.load_system(mat, rhs)
     assert np.array_equal(system.matrix, example1.matrix)
     assert np.array_equal(system.rhs, example1.rhs)
-    formats = cio.SystemFile(mat, rhs).formats()
+    formats = (cio.matrix_market_format(mat), cio.matrix_market_format(rhs))
     assert formats == (cio.MatrixMarketFormat.ARRAY, cio.MatrixMarketFormat.ARRAY)
 
 

@@ -14,7 +14,6 @@ from cimmino import (
     masses_to_weights,
     solve,
 )
-from cimmino.iteration import step_ratios_from_errors
 
 from conftest import random_nonsingular_system, system_at_angle
 
@@ -192,17 +191,13 @@ def test_solve_records_consistent_lengths(example1):
     trace = solve(example1, known_solution=[1.0, 1.0])
     assert trace.residual_norms.size == trace.iterates.shape[0]
     assert trace.error_norms.size == trace.iterates.shape[0]
-    assert (
-        trace.step_ratios.size + len(trace.undefined_ratio_indices)
-        == trace.error_norms.size - 1
-    )
+    assert trace.step_ratios.size == trace.error_norms.size - 1
 
 
 def test_solve_without_solution_has_no_error_columns(example1):
     trace = solve(example1)
     assert trace.error_norms is None
     assert trace.step_ratios is None
-    assert trace.undefined_ratio_indices == ()
 
 
 def test_solve_starting_at_solution_converges_immediately(example1):
@@ -262,12 +257,14 @@ def test_unit_weight_ratios_are_direction_independent(theta_deg, rate):
 # step ratios and error_sequence
 # ---------------------------------------------------------------------------
 
-def test_step_ratios_omit_underflowed_denominators():
-    errors = [1e-299, 1e-301, 1e-305, 0.0]
-    ratios, undefined = step_ratios_from_errors(errors)
-    assert undefined == (1, 2)
-    assert ratios.size == 1
-    assert ratios[0] == pytest.approx(1e-2, rel=1e-12)
+def test_step_ratios_omit_underflowed_denominators(example1):
+    # Starting at the given "solution" makes error[0] exactly zero, so the
+    # ratio at step 1 is undefined: omitted here, None in error_sequence.
+    trace = solve(example1, x0=[5.0, 5.0], known_solution=[5.0, 5.0], max_iter=3)
+    e = trace.error_norms
+    assert e[0] == 0.0 and np.all(e[1:] > 0.0)
+    assert np.array_equal(trace.step_ratios, [e[2] / e[1], e[3] / e[2]])
+    assert [row[2] for row in error_sequence(trace)] == [None, None, e[2] / e[1], e[3] / e[2]]
 
 
 def test_error_sequence_figure1(figure1):

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from cimmino import (
-    DimensionMismatchError,
-    inner,
-    matvec,
-    norm2,
-    symmetric_eigen,
-)
+from cimmino import DimensionMismatchError, symmetric_eigen
+from cimmino.linalg import as_matrix, as_vector
 
 
 # ---------------------------------------------------------------------------
@@ -53,50 +48,14 @@ def _bisection_eigenvalues_3x3(b, samples=20_000):
 
 
 # ---------------------------------------------------------------------------
-# matvec / norm2 / inner
+# as_vector / as_matrix
 # ---------------------------------------------------------------------------
-
-def test_matvec_identity():
-    assert np.array_equal(matvec(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
-
-
-def test_matvec_example1_solution():
-    # A xi = b for the 2x2 system with rows (2,1),(1,2) and xi = (1,1).
-    assert np.array_equal(matvec([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0]), [3.0, 3.0])
-
-
-def test_matvec_example2_rhs():
-    assert np.array_equal(matvec([[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0]), [2.0, 0.0])
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        matvec(np.eye(2), [1.0, 2.0, 3.0])
-
-
-def test_norm2_pythagorean():
-    assert norm2([3.0, 4.0]) == 5.0
-
-
-def test_inner_row_cosine():
-    # <a1, a2> = 4 while both rows have squared norm 5: cos(theta) = 4/5.
-    assert inner([2.0, 1.0], [1.0, 2.0]) == 4.0
-
-
-def test_inner_orthogonal_rows():
-    assert inner([1.0, 1.0], [1.0, -1.0]) == 0.0
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        inner([1.0], [1.0, 2.0])
-
 
 def test_vectors_must_be_finite():
     with pytest.raises(ValueError):
-        norm2([1.0, float("nan")])
+        as_vector([1.0, float("nan")])
     with pytest.raises(ValueError):
-        matvec([[1.0, float("inf")], [0.0, 1.0]], [1.0, 1.0])
+        as_matrix([[1.0, float("inf")], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

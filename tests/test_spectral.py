@@ -22,7 +22,6 @@ from cimmino import (
     unit_normal,
     weighted_normal_matrix,
 )
-from cimmino.spectral import rho_two_weights
 
 from conftest import random_nonsingular_system, system_at_angle
 
@@ -188,7 +187,8 @@ def test_closed_form_small_equal_weights_rate_09():
 
 
 def test_closed_form_rejects_endpoint_angles():
-    for theta in (0.0, 1e-13, math.pi, math.pi - 1e-13, -0.3, 4.0):
+    for theta in (0.0, 1e-13, math.pi, math.pi - 1e-13, -0.3, 4.0, float("nan"),
+                  np.array([1.0, math.pi])):
         with pytest.raises(ValueError, match="parallel normals"):
             contraction_factor_2d(1.0, 1.0, theta)
 
@@ -262,7 +262,7 @@ def test_gap_nonnegative_on_grid():
 
 def test_unit_rate_monotone_toward_parallelism():
     thetas = np.radians(np.arange(1.0, 180.0, 1.0))
-    rates = rho_two_weights(1.0, 1.0, thetas)
+    rates = contraction_factor_2d(1.0, 1.0, thetas).rho
     mid = np.searchsorted(thetas, math.pi / 2.0)
     assert np.all(np.diff(rates[: mid + 1]) <= 1e-15)
     assert np.all(np.diff(rates[mid:]) >= -1e-15)
