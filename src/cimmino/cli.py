@@ -173,6 +173,13 @@ def _cmd_envelope(args) -> int:
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"envelope: {len(rates)} rate(s) over {args.steps} steps -> {args.out}")
+    overflows = [
+        f"rho={cio.format_float(r)} from nu={np.argmax(np.isinf(col))}"
+        for r, col in zip(rates, columns) if np.isinf(col[-1])
+    ]
+    if overflows:
+        print(f"note: envelope values past the float range are written as inf: "
+              f"{', '.join(overflows)}", file=sys.stderr)
     if len(rates) >= 2 and args.e0 > 0.0:
         slow, fast = max(rates), min(rates)
         if fast > 0.0:

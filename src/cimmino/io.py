@@ -8,9 +8,7 @@ the shortest decimal string that round-trips to the same binary64 value
 reproducible for identical inputs.
 """
 
-import enum
 import json
-import math
 
 import numpy as np
 
@@ -27,11 +25,6 @@ REPORT_FIELD_ORDER = (
     "condition_number", "class", "optimal_alpha", "optimal_scaled_rate",
     "tight_frame",
 )
-
-
-class MatrixMarketFormat(enum.Enum):
-    ARRAY = "array"
-    COORDINATE = "coordinate"
 
 
 class MatrixMarketError(ValueError):
@@ -54,7 +47,14 @@ def format_float(x: float) -> str:
 # Matrix Market reading
 # ---------------------------------------------------------------------------
 
-def _parse_header(line: str, path) -> tuple[MatrixMarketFormat, str]:
+def _ascii(raw: bytes, path) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise MatrixMarketError("not-ascii", f"{path}: line is not ASCII: {raw[:80]!r}") from None
+
+
+def _parse_header(line: str, path) -> tuple[str, str]:
     if not line.startswith("%%MatrixMarket"):
         raise MatrixMarketError("missing-header", f"{path}: first line is not a MatrixMarket header")
     tokens = line.strip().split()
@@ -69,17 +69,7 @@ def _parse_header(line: str, path) -> tuple[MatrixMarketFormat, str]:
         raise MatrixMarketError("field-not-real", f"{path}: field must be 'real', got {field!r}")
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError("unsupported-symmetry", f"{path}: unsupported symmetry {symmetry!r}")
-    return MatrixMarketFormat(fmt), symmetry
-
-
-def _parse_real(token: str, path) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise MatrixMarketError("malformed-entry", f"{path}: {token!r} is not a real number") from None
-    if not math.isfinite(value):
-        raise MatrixMarketError("non-finite", f"{path}: non-finite value {token!r}")
-    return value
+    return fmt, symmetry
 
 
 def _parse_size(tokens: list[str], count: int, path) -> list[int]:
@@ -96,125 +86,114 @@ def _parse_size(tokens: list[str], count: int, path) -> list[int]:
     return sizes
 
 
-def matrix_market_format(path) -> MatrixMarketFormat:
-    """Read just the header and report array vs coordinate format."""
-    with open(path, "r", encoding="ascii") as fh:
-        fmt, _ = _parse_header(fh.readline(), path)
-    return fmt
-
-
 def read_matrix_market(path) -> np.ndarray:
     """Read a dense matrix from a Matrix Market file.
 
     Array files are stored column-major and are transposed into row-major
     on read.  Coordinate entries not listed default to zero; a repeated
     coordinate is an error, not a sum.  Symmetric storage (lower triangle)
-    is expanded.  Files describing more than 10^6 entries are refused.
+    is expanded.  Values use Python ``float`` syntax and indices Python
+    ``int`` syntax.  Files describing more than 10^6 entries, and coordinate
+    files listing more entries than the matrix holds, are refused.
     """
-    # Binary mode: a text-mode reader decodes whole buffered chunks, so a
-    # bad byte just past the size line would fail before the budget check.
+    # Binary mode: the body is split as bytes and never decoded, so a bad
+    # byte in it is a malformed entry and cannot fail before the size checks.
     with open(path, "rb") as fh:
-        fmt, symmetry = _parse_header(fh.readline().decode("ascii"), path)
-        size_line = None
+        fmt, symmetry = _parse_header(_ascii(fh.readline(), path), path)
         for raw in fh:
-            stripped = raw.decode("ascii").strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            size_line = stripped
-            break
-        if size_line is None:
+            size_line = _ascii(raw, path).split()
+            if size_line and not size_line[0].startswith("%"):
+                break
+        else:
             raise MatrixMarketError("missing-size", f"{path}: no size line")
-        # Size and budget are checked before the body is read, so an
-        # oversized file is refused without being tokenized.
-        if fmt is MatrixMarketFormat.ARRAY:
-            rows, cols = _parse_size(size_line.split(), 2, path)
-        else:
-            rows, cols, nnz = _parse_size(size_line.split(), 3, path)
-        _check_entry_budget(rows, cols, path)
-        body = fh.read().decode("ascii").split()
-
-    if fmt is MatrixMarketFormat.ARRAY:
-        return _read_array_body(body, rows, cols, symmetry, path)
-    return _read_coordinate_body(body, rows, cols, nnz, symmetry, path)
-
-
-def _check_entry_budget(rows: int, cols: int, path) -> None:
-    if rows * cols > MAX_ENTRIES:
-        raise MatrixMarketError(
-            "too-large", f"{path}: {rows}x{cols} exceeds the dense limit of {MAX_ENTRIES} entries"
-        )
-
-
-def _read_array_body(tokens, rows, cols, symmetry, path) -> np.ndarray:
-    if symmetry == "symmetric":
-        if rows != cols:
+        # Every size check runs before the body is read, so an oversized
+        # file is refused without being tokenized.
+        sizes = _parse_size(size_line, 2 if fmt == "array" else 3, path)
+        rows, cols = sizes[:2]
+        if rows * cols > MAX_ENTRIES:
             raise MatrixMarketError(
-                "not-square-symmetric", f"{path}: symmetric array must be square, got {rows}x{cols}"
+                "too-large", f"{path}: {rows}x{cols} exceeds the dense limit of {MAX_ENTRIES} entries"
             )
-        expected = rows * (rows + 1) // 2
-    else:
-        expected = rows * cols
-    if len(tokens) != expected:
-        raise MatrixMarketError(
-            "size-mismatch", f"{path}: expected {expected} values, found {len(tokens)}"
-        )
-    values = [_parse_real(t, path) for t in tokens]
-    out = np.zeros((rows, cols))
-    if symmetry == "symmetric":
+        symmetric = symmetry == "symmetric"
+        if symmetric and rows != cols:
+            raise MatrixMarketError(
+                "not-square-symmetric", f"{path}: symmetric matrix must be square, got {rows}x{cols}"
+            )
+        capacity = rows * (rows + 1) // 2 if symmetric else rows * cols
+        count = capacity if fmt == "array" else sizes[2]
+        if count > capacity:
+            raise MatrixMarketError("malformed-size", f"{path}: {count} entries do not fit in "
+                                    f"{rows}x{cols} {symmetry} storage")
+        tokens = fh.read().split()
+
+    # Both formats become (i, j, value) arrays, 0-based, in file order.
+    width = 1 if fmt == "array" else 3
+    if len(tokens) != width * count:
+        raise MatrixMarketError("size-mismatch", f"{path}: expected {width * count} tokens "
+                                f"for {count} entries, found {len(tokens)}")
+    value_tokens = tokens
+    if fmt == "coordinate":
+        value_tokens = tokens[2::3]
+        del tokens[2::3]
+        i, j = (_convert(tokens, np.int64, path).reshape(-1, 2) - 1).T
+    elif symmetric:
         # Lower triangle including the diagonal, column by column.
-        k = 0
-        for j in range(cols):
-            for i in range(j, rows):
-                out[i, j] = values[k]
-                out[j, i] = values[k]
-                k += 1
+        j, i = np.triu_indices(rows)
     else:
-        out = np.array(values).reshape(cols, rows).T.copy()
-    out.setflags(write=False)
-    return out
+        j, i = np.divmod(np.arange(count), rows)
+    values = _convert(value_tokens, np.float64, path)
 
+    def at(k):
+        return f"({i[k] + 1}, {j[k] + 1})"
 
-def _read_coordinate_body(tokens, rows, cols, nnz, symmetry, path) -> np.ndarray:
-    if symmetry == "symmetric" and rows != cols:
-        raise MatrixMarketError(
-            "not-square-symmetric", f"{path}: symmetric matrix must be square, got {rows}x{cols}"
-        )
-    if len(tokens) != 3 * nnz:
-        raise MatrixMarketError(
-            "size-mismatch", f"{path}: expected {nnz} coordinate entries, found {len(tokens) // 3}"
-            + ("" if len(tokens) % 3 == 0 else " (ragged entry line)")
-        )
+    _refuse_first((i < 0) | (i >= rows) | (j < 0) | (j >= cols), "index-out-of-range",
+                  lambda k: f"entry {at(k)} outside {rows}x{cols}", path)
+    flat = i * cols + j
+    _refuse_first(np.bincount(flat, minlength=rows * cols)[flat] > 1, "duplicate-coordinate",
+                  lambda k: f"duplicate coordinate {at(k)}", path)
+    _refuse_first(symmetric & (i < j), "symmetric-upper-entry",
+                  lambda k: f"symmetric storage lists the lower triangle; got {at(k)}", path)
+    _refuse_first(~np.isfinite(values), "non-finite",
+                  lambda k: f"non-finite value {_shown(value_tokens[k])}", path)
+
     out = np.zeros((rows, cols))
-    seen = set()
-    for k in range(nnz):
-        si, sj, sv = tokens[3 * k], tokens[3 * k + 1], tokens[3 * k + 2]
-        try:
-            i = int(si)
-            j = int(sj)
-        except ValueError:
-            raise MatrixMarketError(
-                "malformed-entry", f"{path}: bad coordinate indices ({si!r}, {sj!r})"
-            ) from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixMarketError(
-                "index-out-of-range", f"{path}: entry ({i}, {j}) outside {rows}x{cols}"
-            )
-        if (i, j) in seen:
-            raise MatrixMarketError("duplicate-coordinate", f"{path}: duplicate coordinate ({i}, {j})")
-        seen.add((i, j))
-        value = _parse_real(sv, path)
-        if symmetry == "symmetric":
-            if i < j:
-                raise MatrixMarketError(
-                    "symmetric-upper-entry",
-                    f"{path}: symmetric storage lists the lower triangle; got ({i}, {j})",
-                )
-            out[i - 1, j - 1] = value
-            out[j - 1, i - 1] = value
-        else:
-            out[i - 1, j - 1] = value
+    out[i, j] = values
+    if symmetric:
+        out[j, i] = values
     out.setflags(write=False)
     return out
+
+
+def _shown(token: bytes) -> str:
+    return ascii(token.decode("latin-1"))
+
+
+def _convert(tokens: list[bytes], dtype, path) -> np.ndarray:
+    """Body tokens as one array of ``dtype`` (float64 values, int64 indices)."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        # Name the first token that the same scalar conversion refuses.
+        for token in tokens:
+            try:
+                dtype(token)
+            except ValueError:
+                kind = "a real number" if dtype is np.float64 else "an integer index"
+                raise MatrixMarketError(
+                    "malformed-entry", f"{path}: {_shown(token)} is not {kind}"
+                ) from None
+            except OverflowError:
+                raise MatrixMarketError(
+                    "index-out-of-range", f"{path}: index {_shown(token)} is out of range"
+                ) from None
+        raise
+
+
+def _refuse_first(mask: np.ndarray, reason: str, describe, path) -> None:
+    """Raise ``reason`` naming the first entry, in file order, that ``mask`` flags."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        raise MatrixMarketError(reason, f"{path}: {describe(bad[0])}")
 
 
 def read_rhs_vector(path) -> np.ndarray:

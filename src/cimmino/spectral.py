@@ -243,7 +243,9 @@ def error_envelope(rho: float, initial_error: float, steps: int) -> np.ndarray:
     """Worst-case error envelope initial_error * rho**nu for nu = 0..steps.
 
     The envelope is attained asymptotically when the starting error has a
-    component along a dominant eigenvector of the iteration matrix.
+    component along a dominant eigenvector of the iteration matrix.  Values
+    past the float range are ``inf``, without a warning; a zero initial
+    error gives zeros at every step.
     """
     rho = float(rho)
     initial_error = float(initial_error)
@@ -254,4 +256,7 @@ def error_envelope(rho: float, initial_error: float, steps: int) -> np.ndarray:
         raise ValueError(f"initial_error must be finite and nonnegative, got {initial_error}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    return initial_error * rho ** np.arange(steps + 1, dtype=np.float64)
+    if initial_error == 0.0:
+        return np.zeros(steps + 1)
+    with np.errstate(over="ignore"):
+        return initial_error * rho ** np.arange(steps + 1, dtype=np.float64)

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,38 @@ def test_envelope_overflowing_gap_prints_inf(tmp_path, capsys):
     assert len(out_path.read_text(encoding="ascii").splitlines()) == 1002
 
 
+def test_envelope_overflow_prints_a_note_not_a_warning(tmp_path, capsys):
+    # 10^nu passes the float range at nu = 309: those cells read inf.
+    out_path = tmp_path / "env.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([
+            "envelope", "--rho", "10,0.5", "--steps", "400", "--out", str(out_path),
+        ])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    note = "note: envelope values past the float range are written as inf: rho=10.0 from nu=309"
+    assert note + "\n" in err
+    rows = out_path.read_text(encoding="ascii").splitlines()
+    assert rows[309] == "308,1e+308,1.9176146348819244e-93"
+    assert rows[310].startswith("309,inf,")
+
+
+def test_envelope_zero_initial_error_stays_zero(tmp_path, capsys):
+    out_path = tmp_path / "env.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([
+            "envelope", "--rho", "10", "--e0", "0", "--steps", "400", "--out", str(out_path),
+        ])
+    assert code == 0
+    assert "note:" not in capsys.readouterr().err
+    rows = out_path.read_text(encoding="ascii").splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {"0.0"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--theta-grid", "10:170:1", "--weights", "inf,1"], "finite and positive"),
     (["envelope", "--rho", "nan", "--steps", "3"], "rho must be finite"),
@@ -356,10 +389,15 @@ def test_demo_rejects_unknown_name(capsys):
     capsys.readouterr()
 
 
+def _child_env(**extra):
+    """Environment for a ``python -m cimmino`` child that imports this source tree."""
+    return dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **extra)
+
+
 def test_module_entry_point_runs_demo():
     result = subprocess.run(
         [sys.executable, "-m", "cimmino", "demo", "example2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
@@ -381,9 +419,9 @@ def test_cli_outputs_are_deterministic(tmp_path):
         "--theta-grid", "10:170:1", "--weights", "1,1;0.2,0.2",
         "--out", str(out),
     ]
-    r1 = subprocess.run(argv, capture_output=True, text=True)
+    r1 = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
     bytes1 = out.read_bytes()
-    r2 = subprocess.run(argv, capture_output=True, text=True)
+    r2 = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
     bytes2 = out.read_bytes()
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
@@ -391,12 +429,10 @@ def test_cli_outputs_are_deterministic(tmp_path):
 
 
 def _analyze_json_bytes(matrix_path, out_path, threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=str(Path(cli.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "cimmino", "analyze", "--matrix", str(matrix_path),
          "--json-out", str(out_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
     )
     assert result.returncode == 0, result.stderr
     return out_path.read_bytes()

@@ -12,7 +12,10 @@ from conftest import write_mm_array, write_mm_vector
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text, encoding="ascii")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="ascii")
     return path
 
 
@@ -89,49 +92,117 @@ def test_read_skips_comment_lines(tmp_path):
     assert np.array_equal(cio.read_matrix_market(path), [[4.25]])
 
 
-def test_header_sniffing(tmp_path):
-    array_path = _write(
-        tmp_path, "a.mtx", "%%MatrixMarket matrix array real general\n1 1\n1\n"
-    )
-    coord_path = _write(
-        tmp_path, "c.mtx", "%%MatrixMarket matrix coordinate real general\n1 1 0\n"
-    )
-    assert cio.matrix_market_format(array_path) is cio.MatrixMarketFormat.ARRAY
-    assert cio.matrix_market_format(coord_path) is cio.MatrixMarketFormat.COORDINATE
-
-
-# Curated malformed corpus: every fixture is rejected with its own reason.
+# Curated malformed corpus: every fixture is rejected with its own reason,
+# and the message names the offending token or entry.
 _MALFORMED = {
-    "missing-header": "1 1\n1\n",
-    "malformed-header": "%%MatrixMarket matrix array real\n1 1\n1\n",
-    "unsupported-format": "%%MatrixMarket matrix dense real general\n1 1\n1\n",
-    "field-not-real": "%%MatrixMarket matrix array complex general\n1 1\n1 0\n",
-    "unsupported-symmetry": "%%MatrixMarket matrix array real hermitian\n1 1\n1\n",
-    "missing-size": "%%MatrixMarket matrix array real general\n% only comments\n",
-    "malformed-size": "%%MatrixMarket matrix array real general\n2 x\n1\n1\n",
-    "too-large": "%%MatrixMarket matrix coordinate real general\n2000 2000 1\n1 1 1\n",
-    "size-mismatch": "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
-    "malformed-entry": "%%MatrixMarket matrix array real general\n1 1\nabc\n",
-    "non-finite": "%%MatrixMarket matrix array real general\n1 1\nNaN\n",
+    "missing-header": ("1 1\n1\n", "header"),
+    "malformed-header": ("%%MatrixMarket matrix array real\n1 1\n1\n", "got 4"),
+    "unsupported-format": ("%%MatrixMarket matrix dense real general\n1 1\n1\n", "'dense'"),
+    "field-not-real": ("%%MatrixMarket matrix array complex general\n1 1\n1 0\n", "'complex'"),
+    "unsupported-symmetry": (
+        "%%MatrixMarket matrix array real hermitian\n1 1\n1\n", "'hermitian'"
+    ),
+    "missing-size": ("%%MatrixMarket matrix array real general\n% only comments\n", "size"),
+    "malformed-size": ("%%MatrixMarket matrix array real general\n2 x\n1\n1\n", "size"),
+    "too-large": ("%%MatrixMarket matrix coordinate real general\n2000 2000 1\n1 1 1\n", "2000x2000"),
+    "size-mismatch": ("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n", "found 3"),
+    "malformed-entry": ("%%MatrixMarket matrix array real general\n1 1\nabc\n", "'abc'"),
+    "non-finite": ("%%MatrixMarket matrix array real general\n1 1\nNaN\n", "'NaN'"),
     "duplicate-coordinate": (
-        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n1 1 2\n"
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n1 1 2\n", "(1, 1)"
     ),
     "index-out-of-range": (
-        "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n"
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n", "(3, 1)"
     ),
-    "not-square-symmetric": "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n",
+    "not-square-symmetric": (
+        "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n", "2x3"
+    ),
     "symmetric-upper-entry": (
-        "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5\n"
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5\n", "(1, 2)"
     ),
+    "not-ascii": (b"%%MatrixMarket matrix array real g\xe9neral\n1 1\n1\n", "g\\xe9neral"),
 }
 
 
 @pytest.mark.parametrize("reason", sorted(_MALFORMED))
 def test_malformed_fixtures_rejected_with_distinct_reasons(tmp_path, reason):
-    path = _write(tmp_path, "bad.mtx", _MALFORMED[reason])
+    text, named = _MALFORMED[reason]
+    path = _write(tmp_path, "bad.mtx", text)
     with pytest.raises(cio.MatrixMarketError) as excinfo:
         cio.read_matrix_market(path)
     assert excinfo.value.reason == reason
+    assert named in str(excinfo.value)
+
+
+# Further single-fault files, each refused with the reason of the one fault.
+_SINGLE_FAULT = {
+    "non-ascii-comment": (
+        b"%%MatrixMarket matrix array real general\n% caf\xe9\n1 1\n1\n",
+        "not-ascii", "caf\\xe9",
+    ),
+    "non-ascii-size": (
+        b"%%MatrixMarket matrix array real general\n1 \xb9\n1\n", "not-ascii", "\\xb9",
+    ),
+    "non-ascii-body-token": (
+        b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff1\n",
+        "malformed-entry", "'\\xff1'",
+    ),
+    "index-past-int64": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 1\n",
+        "index-out-of-range", "99999999999999999999",
+    ),
+    "index-not-integral": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1.0 1 1\n",
+        "malformed-entry", "'1.0'",
+    ),
+    "coordinate-value-nan": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 nan\n",
+        "non-finite", "'nan'",
+    ),
+    "late-duplicate": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1\n2 1 2\n1 2 3\n2 1 4\n",
+        "duplicate-coordinate", "(2, 1)",
+    ),
+    "nnz-beyond-capacity": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n",
+        "malformed-size", "5 entries",
+    ),
+    "nnz-beyond-symmetric-capacity": (
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 4\n1 1 1\n",
+        "malformed-size", "4 entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_FAULT))
+def test_single_fault_files_rejected(tmp_path, name):
+    text, reason, named = _SINGLE_FAULT[name]
+    path = _write(tmp_path, "bad.mtx", text)
+    with pytest.raises(cio.MatrixMarketError) as excinfo:
+        cio.read_matrix_market(path)
+    assert excinfo.value.reason == reason
+    assert named in str(excinfo.value)
+
+
+def test_impossible_nnz_refused_before_body_is_read(tmp_path):
+    # The body holds a malformed token; the size line alone refuses the file.
+    path = _write(
+        tmp_path, "big.mtx",
+        "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 abc\n",
+    )
+    with pytest.raises(cio.MatrixMarketError) as excinfo:
+        cio.read_matrix_market(path)
+    assert excinfo.value.reason == "malformed-size"
+
+
+def test_python_float_syntax_accepted(tmp_path):
+    path = _write(
+        tmp_path, "a.mtx",
+        "%%MatrixMarket matrix array real general\n5 1\n1_0\n-0\n.5\n+2.5E1\n4.9e-324\n",
+    )
+    got = cio.read_matrix_market(path)[:, 0]
+    assert got.tolist() == [10.0, -0.0, 0.5, 25.0, 5e-324]
+    assert math.copysign(1.0, got[1]) == -1.0
 
 
 def test_oversized_file_refused_before_body_is_read(tmp_path):
@@ -186,8 +257,6 @@ def test_load_system_round_trip(tmp_path, example1):
     system = cio.load_system(mat, rhs)
     assert np.array_equal(system.matrix, example1.matrix)
     assert np.array_equal(system.rhs, example1.rhs)
-    formats = (cio.matrix_market_format(mat), cio.matrix_market_format(rhs))
-    assert formats == (cio.MatrixMarketFormat.ARRAY, cio.MatrixMarketFormat.ARRAY)
 
 
 def test_load_system_rejects_mismatched_rhs(tmp_path):

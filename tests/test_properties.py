@@ -1,5 +1,6 @@
 """Property tests (hypothesis): the closed 2x2 form against the eigensolver,
-and the step-ratio views of a trace against each other and the CSV."""
+the step-ratio views of a trace against each other and the CSV, and Matrix
+Market files read back bit for bit."""
 
 import math
 import tempfile
@@ -68,3 +69,51 @@ def test_step_ratio_views_agree_and_csv_round_trips(
     read = cio.read_trace_csv(path)
     assert [(nu, res) for nu, res, _, _ in read] == list(enumerate(trace.residual_norms))
     assert [(nu, err, ratio) for nu, _, err, ratio in read] == rows
+
+
+# Finite binary64 values, with signed zeros, subnormals and the ends of the
+# range drawn often.
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _matrix_market_files(draw):
+    """A dense matrix and the text of a Matrix Market file that stores it."""
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    symmetric = draw(st.booleans())
+    rows = draw(st.integers(1, 6))
+    cols = rows if symmetric else draw(st.integers(1, 6))
+    values = draw(st.lists(_FINITE, min_size=rows * cols, max_size=rows * cols))
+    matrix = np.array(values, dtype=np.float64).reshape(rows, cols)
+    # Stored cells in column-major order; symmetric storage keeps the lower
+    # triangle and the upper one mirrors it.
+    stored = [(i, j) for j in range(cols) for i in range(j if symmetric else 0, rows)]
+    if symmetric:
+        for i, j in stored:
+            matrix[j, i] = matrix[i, j]
+    cells = matrix.tolist()
+    header = f"%%MatrixMarket matrix {fmt} real {'symmetric' if symmetric else 'general'}"
+    if fmt == "array":
+        body = [f"{rows} {cols}"] + [repr(cells[i][j]) for i, j in stored]
+    else:
+        # Unlisted cells read as +0.0, so only those may be left out.
+        listed = [(i, j) for i, j in stored if repr(cells[i][j]) != "0.0"]
+        listed = draw(st.permutations(listed))
+        body = [f"{rows} {cols} {len(listed)}"]
+        body += [f"{i + 1} {j + 1} {cells[i][j]!r}" for i, j in listed]
+    return matrix, "\n".join([header] + body) + "\n"
+
+
+@DETERMINISTIC
+@given(case=_matrix_market_files())
+def test_matrix_market_files_read_back_bit_exact(tmp_path_factory, case):
+    matrix, text = case
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    path.write_text(text, encoding="ascii")
+    got = cio.read_matrix_market(path)
+    assert got.dtype == np.float64 and got.shape == matrix.shape
+    assert not got.flags.writeable
+    assert np.array_equal(got.view(np.uint64), matrix.view(np.uint64))
