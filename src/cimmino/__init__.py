@@ -28,7 +28,6 @@ from .iteration import (
 )
 from .linalg import (
     DimensionMismatchError,
-    EigenDecomposition,
     symmetric_eigen,
 )
 from .spectral import (
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceClass",
     "DimensionMismatchError",
-    "EigenDecomposition",
     "Hyperplane",
     "IterationTrace",
     "LinearSystem",

@@ -34,7 +34,8 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Square system A x = b with no zero rows.
+    """Square system A x = b with no zero rows, each squared row norm a
+    normal (neither underflowed nor infinite) binary64 number.
 
     Nonsingularity is not checked at construction; the spectral layer
     detects it when a rate is requested.
@@ -53,10 +54,16 @@ class LinearSystem:
             raise DimensionMismatchError(
                 f"rhs has length {b.size} but matrix has {a.shape[0]} rows"
             )
-        rn2 = np.sum(a * a, axis=1)
-        if np.any(rn2 == 0.0):
-            rows = np.nonzero(rn2 == 0.0)[0]
-            raise ValueError(f"zero row(s) in matrix: {rows.tolist()}")
+        zero = ~np.any(a, axis=1)
+        if np.any(zero):
+            raise ValueError(f"zero row(s) in matrix: {np.nonzero(zero)[0].tolist()}")
+        with np.errstate(over="ignore"):
+            rn2 = np.sum(a * a, axis=1)
+        # The step divides by ||a_i||^2: it must be a normal, finite float.
+        out_of_range = ~((rn2 >= np.finfo(np.float64).tiny) & (rn2 < np.inf))
+        if np.any(out_of_range):
+            rows = np.nonzero(out_of_range)[0].tolist()
+            raise ValueError(f"row(s) {rows}: squared norm under/overflows binary64")
         rn2.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rhs", b)
@@ -190,7 +197,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
     x0 : array_like, optional
         Starting point, default zero vector.
     residual_tol : float
-        Relative residual tolerance, > 0.
+        Relative residual tolerance, finite and > 0.
     max_iter : int
         Iteration budget, >= 1.
     known_solution : array_like, optional
@@ -200,8 +207,8 @@ def solve(system: LinearSystem, weights=None, x0=None,
     -------
     IterationTrace
     """
-    if not residual_tol > 0.0:
-        raise ValueError(f"residual_tol must be positive, got {residual_tol}")
+    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
+        raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = system.n
@@ -217,14 +224,28 @@ def solve(system: LinearSystem, weights=None, x0=None,
                 f"known_solution has length {solution.size}, system is {n}"
             )
 
+    a = system.matrix
     b = system.rhs
     coef = w / system.row_norms_sq
     stop_abs = residual_tol * (1.0 + float(np.sqrt(np.sum(b * b))))
-    hist = np.empty((max_iter + 1, n))
-    resnorms = np.empty(max_iter + 1)
-    k, terminated = _iterate(system.matrix, b, coef, x0, hist, resnorms, stop_abs)
-    iterates = hist[: k + 1].copy()
-    residual_norms = resnorms[: k + 1].copy()
+    xs, resnorms = [], []
+    x = x0
+    terminated = None
+    while terminated is None:
+        r = b - a @ x
+        res = float(np.sqrt(np.sum(r * r)))
+        xs.append(x)
+        resnorms.append(res)
+        if res <= stop_abs:
+            terminated = Termination.CONVERGED
+        elif np.sqrt(np.sum(x * x)) > DIVERGENCE_SENTINEL:
+            terminated = Termination.DIVERGED
+        elif len(xs) > max_iter:
+            terminated = Termination.MAX_ITERATIONS
+        else:
+            x = _step(a, x, coef, r)
+    iterates = np.array(xs)
+    residual_norms = np.array(resnorms)
     iterates.setflags(write=False)
     residual_norms.setflags(write=False)
 
@@ -240,31 +261,6 @@ def solve(system: LinearSystem, weights=None, x0=None,
         terminated=terminated,
         error_norms=error_norms,
     )
-
-
-def _iterate(a, b, coef, x0, hist, resnorms, stop_abs) -> tuple[int, Termination]:
-    """Run the reflection step until a stop condition fires.
-
-    ``hist``/``resnorms`` are preallocated with ``max_iter + 1`` rows and
-    are filled with the iterates x^(0..k) and their residual norms.
-    Returns ``(k, terminated)`` where ``k + 1`` rows of ``hist`` are valid.
-    """
-    max_iter = hist.shape[0] - 1
-    x = x0
-    k = 0
-    while True:
-        r = b - a @ x
-        res = float(np.sqrt(np.sum(r * r)))
-        hist[k] = x
-        resnorms[k] = res
-        if res <= stop_abs:
-            return k, Termination.CONVERGED
-        if np.sqrt(np.sum(x * x)) > DIVERGENCE_SENTINEL:
-            return k, Termination.DIVERGED
-        if k == max_iter:
-            return k, Termination.MAX_ITERATIONS
-        x = _step(a, x, coef, r)
-        k += 1
 
 
 def _aligned_ratios(error_norms: np.ndarray) -> np.ndarray:

@@ -1,7 +1,5 @@
-"""Minimal dense linear algebra: validated vectors/matrices and a symmetric
-eigendecomposition through LAPACK."""
-
-from dataclasses import dataclass
+"""Minimal dense linear algebra: validated vectors/matrices and the
+eigenvalues of a symmetric matrix through LAPACK."""
 
 import numpy as np
 
@@ -35,24 +33,8 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues in ascending order with the matching orthogonal column basis.
-
-    ``eigenvectors[:, i]`` is the unit eigenvector paired with
-    ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
-
-
-def symmetric_eigen(b) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
+def symmetric_eigen(b) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by LAPACK (``np.linalg.eigvalsh``).
 
     The input must be symmetric to within ``1e-12 * (1 + max|B|)`` per
     entry; it is then symmetrized as (B + B^T)/2 so rounding drift cannot
@@ -70,8 +52,8 @@ def symmetric_eigen(b) -> EigenDecomposition:
 
     Returns
     -------
-    EigenDecomposition
-        Eigenvalues ascending (ties adjacent), eigenvector columns aligned.
+    numpy.ndarray
+        The eigenvalues ascending (ties adjacent), read-only.
 
     Raises
     ------
@@ -81,7 +63,7 @@ def symmetric_eigen(b) -> EigenDecomposition:
     b = as_matrix(b)
     n, m = b.shape
     if n != m:
-        raise DimensionMismatchError(f"eigendecomposition needs a square matrix, got {n}x{m}")
+        raise DimensionMismatchError(f"eigenvalues need a square matrix, got {n}x{m}")
     scale = 1.0 + float(np.max(np.abs(b)))
     asym = float(np.max(np.abs(b - b.T)))
     if asym > ASYMMETRY_TOL * scale:
@@ -89,7 +71,6 @@ def symmetric_eigen(b) -> EigenDecomposition:
             f"matrix is not symmetric: max |B_ij - B_ji| = {asym:.3e} "
             f"exceeds {ASYMMETRY_TOL * scale:.3e}"
         )
-    eigenvalues, eigenvectors = np.linalg.eigh((b + b.T) / 2.0)
+    eigenvalues = np.linalg.eigvalsh((b + b.T) / 2.0)
     eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return EigenDecomposition(eigenvalues, eigenvectors)
+    return eigenvalues

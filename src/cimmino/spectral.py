@@ -134,7 +134,7 @@ def analyze(system: LinearSystem, weights=None,
     """
     w = unit_weights(system.n) if weights is None else as_weights(weights, system.n)
     b = weighted_normal_matrix(system, w)
-    lam = symmetric_eigen(b).eigenvalues
+    lam = symmetric_eigen(b)
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
     if lam_min <= SINGULARITY_RATIO * lam_max:

@@ -98,6 +98,17 @@ def test_solve_budget_exhaustion_exits_2(example1_files, capsys):
     assert "termination: MaxIterations" in capsys.readouterr().out
 
 
+def test_solve_memory_follows_steps_taken_not_budget(example1_files, capsys):
+    # Reserving the history for this budget up front would take 146 TiB;
+    # the run needs 104 rows.
+    mat, rhs = example1_files
+    code = cli.main(["solve", "--matrix", mat, "--rhs", rhs, "--max-iter", "10000000000000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "termination: Converged" in out
+    assert "iterations: 103" in out
+
+
 def test_solve_writes_trace(example1_files, tmp_path, capsys):
     mat, rhs = example1_files
     trace_path = tmp_path / "trace.csv"
@@ -401,6 +412,16 @@ def test_module_entry_point_runs_demo():
     )
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
+
+
+def test_benchmark_goldens_pass():
+    # The benchmark's golden gate: the README's 2x2 values, each within the
+    # ulps it is allowed.  Run here too, so a drifting golden fails the suite.
+    script = Path(__file__).parents[1] / "perfbench" / "goldens.py"
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=_child_env(),
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 @pytest.mark.skipif(shutil.which("cimmino") is None, reason="console script not on PATH")

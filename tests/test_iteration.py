@@ -37,6 +37,19 @@ def test_system_rejects_zero_row():
         LinearSystem([[1.0, 2.0], [0.0, 0.0]], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("tiny", [1e-170, 1e-160], ids=["to-zero", "subnormal"])
+def test_system_rejects_row_whose_squared_norm_underflows(tiny):
+    # The row is not zero, but its squared norm rounds to 0 (1e-340) or to
+    # a subnormal (1e-320) whose reciprocal, in the step, overflows.
+    with pytest.raises(ValueError, match=r"row\(s\) \[0\]: squared norm under/overflows"):
+        LinearSystem([[tiny, 0.0], [0.0, 1.0]], [1.0, 2.0])
+
+
+def test_system_rejects_row_whose_squared_norm_overflows():
+    with pytest.raises(ValueError, match=r"row\(s\) \[1\]: squared norm under/overflows"):
+        LinearSystem([[1.0, 0.0], [1e160, 0.0]], [1.0, 2.0])
+
+
 def test_system_rejects_non_finite():
     with pytest.raises(ValueError):
         LinearSystem([[1.0, float("nan")], [0.0, 1.0]], [1.0, 2.0])
@@ -224,6 +237,8 @@ def test_solve_validates_arguments(example1):
         solve(example1, residual_tol=0.0)
     with pytest.raises(ValueError):
         solve(example1, residual_tol=-1e-10)
+    with pytest.raises(ValueError):
+        solve(example1, residual_tol=float("inf"))
     with pytest.raises(ValueError):
         solve(example1, max_iter=0)
     with pytest.raises(DimensionMismatchError):

@@ -1,7 +1,8 @@
 """Property tests (hypothesis): the closed 2x2 form against the eigensolver,
-the step-ratio views of a trace against each other and the CSV, and Matrix
-Market files read back bit for bit."""
+the step-ratio views of a trace against each other and the CSV, spectral
+reports through JSON, and Matrix Market files read back bit for bit."""
 
+import dataclasses
 import math
 import tempfile
 
@@ -69,6 +70,25 @@ def test_step_ratio_views_agree_and_csv_round_trips(
     read = cio.read_trace_csv(path)
     assert [(nu, res) for nu, res, _, _ in read] == list(enumerate(trace.residual_norms))
     assert [(nu, err, ratio) for nu, _, err, ratio in read] == rows
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    weights=st.lists(st.floats(0.01, 100.0), min_size=6, max_size=6),
+)
+def test_report_json_round_trips_byte_stably(tmp_path_factory, seed, n, weights):
+    system = random_nonsingular_system(np.random.default_rng(seed), n)
+    directory = tmp_path_factory.mktemp("report")
+    first, second = directory / "first.json", directory / "second.json"
+    report = analyze(system, weights[:n])
+    cio.write_report_json(report, first)
+    read = cio.read_report_json(first)
+    cio.write_report_json(read, second)
+    assert first.read_bytes() == second.read_bytes()
+    for field in dataclasses.fields(report):
+        assert np.array_equal(getattr(read, field.name), getattr(report, field.name)), field.name
 
 
 # Finite binary64 values, with signed zeros, subnormals and the ends of the
