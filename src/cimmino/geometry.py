@@ -119,6 +119,11 @@ def masses_to_weights(masses) -> np.ndarray:
     m = as_vector(masses)
     if np.any(m <= 0.0):
         raise ValueError("masses must all be positive")
-    w = 2.0 * m / float(np.sum(m))
+    with np.errstate(over="ignore"):
+        total = np.sum(m)
+    if total == np.inf:
+        raise ValueError("masses must have a finite sum")
+    # Halving the sum, not doubling m, keeps a mass near the float maximum finite.
+    w = m / (0.5 * total)
     w.setflags(write=False)
     return w

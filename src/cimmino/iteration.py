@@ -34,8 +34,8 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Square system A x = b with no zero rows, each squared row norm a
-    normal (neither underflowed nor infinite) binary64 number.
+    """Square system A x = b with no zero rows, each ||a_i||^2 a normal
+    (neither underflowed nor infinite) binary64 number, and ||b||^2 finite.
 
     Nonsingularity is not checked at construction; the spectral layer
     detects it when a rate is requested.
@@ -47,23 +47,22 @@ class LinearSystem:
 
     def __post_init__(self):
         a = as_matrix(self.matrix)
-        b = as_vector(self.rhs)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-        if b.size != a.shape[0]:
-            raise DimensionMismatchError(
-                f"rhs has length {b.size} but matrix has {a.shape[0]} rows"
-            )
+        b = _sized(self.rhs, a.shape[0], "rhs")
         zero = ~np.any(a, axis=1)
         if np.any(zero):
             raise ValueError(f"zero row(s) in matrix: {np.nonzero(zero)[0].tolist()}")
         with np.errstate(over="ignore"):
             rn2 = np.sum(a * a, axis=1)
+            bb = np.sum(b * b)
         # The step divides by ||a_i||^2: it must be a normal, finite float.
         out_of_range = ~((rn2 >= np.finfo(np.float64).tiny) & (rn2 < np.inf))
         if np.any(out_of_range):
             rows = np.nonzero(out_of_range)[0].tolist()
             raise ValueError(f"row(s) {rows}: squared norm under/overflows binary64")
+        if bb == np.inf:
+            raise ValueError("rhs: squared norm overflows binary64")
         rn2.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rhs", b)
@@ -83,22 +82,30 @@ class LinearSystem:
         r = self.rhs - self.matrix @ as_vector(x)
         return float(np.sqrt(np.sum(r * r)))
 
+    def coefficients(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (w, w_i / ||a_i||^2): the weights, all ones by default,
+        and the diagonal of D_w in B = A^T D_w A.  Refuses weights that are
+        not n finite positive values and rows whose coefficient overflows.
+        """
+        w = np.ones(self.n) if weights is None else _sized(weights, self.n, "weights")
+        if np.any(w <= 0.0):
+            raise ValueError("weights must all be positive")
+        with np.errstate(over="ignore"):
+            coef = w / self.row_norms_sq
+        rows = np.nonzero(~np.isfinite(coef))[0].tolist()
+        if rows:
+            raise ValueError(f"row(s) {rows}: weight / squared norm overflows binary64")
+        w.setflags(write=False)
+        coef.setflags(write=False)
+        return w, coef
 
-def unit_weights(n: int) -> np.ndarray:
-    """The standard weight choice w_i = 1."""
-    w = np.ones(n)
-    w.setflags(write=False)
-    return w
 
-
-def as_weights(values, n: int) -> np.ndarray:
-    """Validate a weight vector: length n, strictly positive, finite."""
-    w = as_vector(values)
-    if w.size != n:
-        raise DimensionMismatchError(f"expected {n} weights, got {w.size}")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must all be positive")
-    return w
+def _sized(values, n: int, label: str) -> np.ndarray:
+    """``as_vector`` of ``values``, which must have length n."""
+    v = as_vector(values)
+    if v.size != n:
+        raise DimensionMismatchError(f"{label} has length {v.size}, system is {n}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +151,9 @@ def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     Returns x + sum_i w_i (b_i - <a_i, x>) / ||a_i||^2 * a_i, the row sum
     taken as one vector-matrix product.
     """
-    x = as_vector(x)
-    if x.size != system.n:
-        raise DimensionMismatchError(f"iterate has length {x.size}, system is {system.n}")
-    w = as_weights(weights, system.n)
+    x = _sized(x, system.n, "iterate")
+    _, coef = system.coefficients(weights)
     a = system.matrix
-    coef = w / system.row_norms_sq
     return _step(a, x, coef, system.rhs - a @ x)
 
 
@@ -163,12 +167,8 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
 
     Equals ``cimmino_step`` with weights ``masses_to_weights(masses)``.
     """
-    x = as_vector(x)
-    if x.size != system.n:
-        raise DimensionMismatchError(f"iterate has length {x.size}, system is {system.n}")
-    m = as_vector(masses)
-    if m.size != system.n:
-        raise DimensionMismatchError(f"expected {system.n} masses, got {m.size}")
+    x = _sized(x, system.n, "iterate")
+    m = _sized(masses, system.n, "masses")
     if np.any(m <= 0.0):
         raise ValueError("masses must all be positive")
     reflections = np.empty((system.n, system.n))
@@ -212,38 +212,31 @@ def solve(system: LinearSystem, weights=None, x0=None,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = system.n
-    w = unit_weights(n) if weights is None else as_weights(weights, n)
-    x0 = np.zeros(n) if x0 is None else as_vector(x0)
-    if x0.size != n:
-        raise DimensionMismatchError(f"x0 has length {x0.size}, system is {n}")
-    solution = None
-    if known_solution is not None:
-        solution = as_vector(known_solution)
-        if solution.size != n:
-            raise DimensionMismatchError(
-                f"known_solution has length {solution.size}, system is {n}"
-            )
+    _, coef = system.coefficients(weights)
+    x0 = np.zeros(n) if x0 is None else _sized(x0, n, "x0")
+    solution = None if known_solution is None else _sized(known_solution, n, "known_solution")
 
     a = system.matrix
     b = system.rhs
-    coef = w / system.row_norms_sq
     stop_abs = residual_tol * (1.0 + float(np.sqrt(np.sum(b * b))))
     xs, resnorms = [], []
     x = x0
     terminated = None
-    while terminated is None:
-        r = b - a @ x
-        res = float(np.sqrt(np.sum(r * r)))
-        xs.append(x)
-        resnorms.append(res)
-        if res <= stop_abs:
-            terminated = Termination.CONVERGED
-        elif np.sqrt(np.sum(x * x)) > DIVERGENCE_SENTINEL:
-            terminated = Termination.DIVERGED
-        elif len(xs) > max_iter:
-            terminated = Termination.MAX_ITERATIONS
-        else:
-            x = _step(a, x, coef, r)
+    # A diverging run's norms may overflow to inf: a value, not a fault.
+    with np.errstate(over="ignore"):
+        while terminated is None:
+            r = b - a @ x
+            res = float(np.sqrt(np.sum(r * r)))
+            xs.append(x)
+            resnorms.append(res)
+            if res <= stop_abs:
+                terminated = Termination.CONVERGED
+            elif np.sqrt(np.sum(x * x)) > DIVERGENCE_SENTINEL:
+                terminated = Termination.DIVERGED
+            elif len(xs) > max_iter:
+                terminated = Termination.MAX_ITERATIONS
+            else:
+                x = _step(a, x, coef, r)
     iterates = np.array(xs)
     residual_norms = np.array(resnorms)
     iterates.setflags(write=False)
@@ -252,7 +245,8 @@ def solve(system: LinearSystem, weights=None, x0=None,
     error_norms = None
     if solution is not None:
         diffs = iterates - solution
-        error_norms = np.sqrt(np.sum(diffs * diffs, axis=1))
+        with np.errstate(over="ignore"):
+            error_norms = np.sqrt(np.sum(diffs * diffs, axis=1))
         error_norms.setflags(write=False)
 
     return IterationTrace(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import internormal_angle
-from .iteration import LinearSystem, as_weights, unit_weights
+from .iteration import LinearSystem
 from .linalg import symmetric_eigen
 
 # lambda_1 <= SINGULARITY_RATIO * lambda_n is treated as a singular matrix.
@@ -101,9 +101,9 @@ def weighted_normal_matrix(system: LinearSystem, weights=None) -> np.ndarray:
     The upper triangle is mirrored into the lower one, so the result is
     exactly symmetric (the product alone is not, to the last bit).
     """
-    w = unit_weights(system.n) if weights is None else as_weights(weights, system.n)
+    _, coef = system.coefficients(weights)
     a = system.matrix
-    b = a.T @ ((w / system.row_norms_sq)[:, None] * a)
+    b = a.T @ (coef[:, None] * a)
     np.copyto(b, b.T, where=np.tri(system.n, k=-1, dtype=bool))
     b.setflags(write=False)
     return b
@@ -132,7 +132,7 @@ def analyze(system: LinearSystem, weights=None,
     Raises ``SingularMatrixError`` when lambda_1 <= 1e-14 * lambda_n, which
     flags a numerically singular coefficient matrix.
     """
-    w = unit_weights(system.n) if weights is None else as_weights(weights, system.n)
+    w, _ = system.coefficients(weights)
     b = weighted_normal_matrix(system, w)
     lam = symmetric_eigen(b)
     lam_min = float(lam[0])

@@ -1,8 +1,10 @@
+import importlib
 import os
 import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,43 @@ def test_solve_bad_weights_exit_1(example1_files, capsys):
     code = cli.main(["solve", "--matrix", mat, "--rhs", rhs, "--weights", "1,nope"])
     assert code == 1
     assert "--weights" in capsys.readouterr().err
+
+
+def _solve_warning_free(tmp_path, matrix, rhs, *options):
+    """Exit code of ``cimmino solve`` on these arrays; it must emit no RuntimeWarning."""
+    mat, vec = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_mm_array(mat, matrix)
+    write_mm_vector(vec, rhs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--matrix", str(mat), "--rhs", str(vec), *options])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
+@pytest.mark.parametrize("matrix, rhs, options, message", [
+    ([[2e-154, 0.0], [0.0, 1.0]], [1.0, 1.0], ["--weights", "10,1"],
+     "row(s) [0]: weight / squared norm overflows binary64"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1e200, 1.0], [], "rhs: squared norm overflows binary64"),
+], ids=["step-coefficient", "rhs"])
+def test_solve_refuses_overflowing_input(tmp_path, capsys, matrix, rhs, options, message):
+    # Before these refusals the first warned and ran NaN iterates to the
+    # budget; the second warned and reported Converged at x = 0.
+    assert _solve_warning_free(tmp_path, matrix, rhs, *options) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cimmino: error: {message}\n"
+
+
+def test_solve_diverging_overflow_prints_no_warning(tmp_path, capsys):
+    # The residual norm overflows to inf before the iterate norm reaches the
+    # 1e150 sentinel; the run still stops Diverged at the same step.
+    code = _solve_warning_free(tmp_path, [[2e10, 1e10], [1e10, 2e10]], [3.0, 3.0],
+                               "--weights", "2,2")
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert "termination: Diverged\niterations: 386\nfinal_residual: inf\n" in captured.out
 
 
 def test_usage_error_exits_1(capsys):
@@ -422,6 +461,30 @@ def test_benchmark_goldens_pass():
         [sys.executable, str(script)], capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_trace_points_resolve_and_record_each_layer_once(monkeypatch):
+    # The benchmark's per-layer metrics come from spans wrapped around these
+    # functions; a renamed or bypassed one would silently read 0.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, _, _ in tracing.TRACE_POINTS:
+        assert tracing._resolve(module, attr) is not None, f"{module}.{attr}"
+    import cimmino
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        system = cimmino.LinearSystem([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+        cimmino.analyze(system)
+        cimmino.solve(system)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert Counter(span[0] for span in tracer.spans) == {
+        "iteration.validate": 1, "spectral.analyze": 1, "spectral.assemble": 1,
+        "linalg.eigen": 1, "iteration.solve": 1,
+    }
 
 
 @pytest.mark.skipif(shutil.which("cimmino") is None, reason="console script not on PATH")

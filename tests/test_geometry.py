@@ -192,3 +192,5 @@ def test_masses_to_weights_rejects_nonpositive():
         masses_to_weights([1.0, 0.0])
     with pytest.raises(ValueError):
         masses_to_weights([1.0, -2.0])
+    with pytest.raises(ValueError, match="finite sum"):
+        masses_to_weights([1e308, 1e308])

@@ -7,12 +7,14 @@ from cimmino import (
     DimensionMismatchError,
     LinearSystem,
     Termination,
+    analyze,
     centroid_step,
     cimmino_step,
     error_sequence,
     iteration_matrix,
     masses_to_weights,
     solve,
+    weighted_normal_matrix,
 )
 
 from conftest import random_nonsingular_system, system_at_angle
@@ -48,6 +50,35 @@ def test_system_rejects_row_whose_squared_norm_underflows(tiny):
 def test_system_rejects_row_whose_squared_norm_overflows():
     with pytest.raises(ValueError, match=r"row\(s\) \[1\]: squared norm under/overflows"):
         LinearSystem([[1.0, 0.0], [1e160, 0.0]], [1.0, 2.0])
+
+
+def test_system_rejects_rhs_whose_squared_norm_overflows():
+    # ||b||_2 scales the stopping threshold; an infinite one passes any start.
+    with pytest.raises(ValueError, match=r"rhs: squared norm overflows"):
+        LinearSystem(np.eye(2), [1e200, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, w: solve(s, weights=w),
+    lambda s, w: cimmino_step(s, [0.0, 0.0], w),
+    weighted_normal_matrix,
+    analyze,
+], ids=["solve", "cimmino_step", "weighted_normal_matrix", "analyze"])
+def test_weights_whose_step_coefficient_overflows_are_refused(call):
+    # ||a_0||^2 = 4e-308 is normal, but 10 / 4e-308 is not finite.
+    system = LinearSystem([[2e-154, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"row\(s\) \[0\]: weight / squared norm overflows"):
+        call(system, [10.0, 1.0])
+
+
+def test_coefficients_are_the_read_only_diagonal_of_d_w(example1):
+    for weights, expected in [(None, [0.2, 0.2]), ([2.0, 0.5], [2.0 / 5.0, 0.5 / 5.0])]:
+        w, coef = example1.coefficients(weights)
+        assert np.array_equal(w, [1.0, 1.0] if weights is None else weights)
+        assert np.array_equal(coef, expected)
+        assert not w.flags.writeable and not coef.flags.writeable
+    with pytest.raises(DimensionMismatchError, match="weights has length 3, system is 2"):
+        example1.coefficients([1.0, 1.0, 1.0])
 
 
 def test_system_rejects_non_finite():
@@ -224,6 +255,26 @@ def test_solve_diverges_on_doubled_weights(example1):
     trace = solve(example1, weights=[2.0, 2.0])
     assert trace.terminated is Termination.DIVERGED
     assert np.linalg.norm(trace.final) > 1e150
+
+
+def test_solve_overflowing_norms_warn_nothing_and_decide_as_before(example1):
+    # The first step lands near 1.8e200: its residual and error norms are
+    # inf, and the iterate norm passes the sentinel.
+    trace = solve(example1, weights=[1e200, 1e200], known_solution=[1.0, 1.0])
+    assert trace.terminated is Termination.DIVERGED
+    assert trace.iterations == 1
+    assert trace.residual_norms[-1] == math.inf and trace.error_norms[-1] == math.inf
+
+
+def test_solve_converges_from_an_overflowed_starting_residual():
+    # Rows of norm ~1e152 and |x0| ~ 1.4e3: sum(r*r) ~ 2e310 is inf at the
+    # start, yet the run converges; an infinite residual is not divergence.
+    scale = 1e152
+    system = LinearSystem([[2.0 * scale, scale], [scale, 2.0 * scale]], [3.0 * scale] * 2)
+    trace = solve(system, x0=[-1000.0, 1000.0], known_solution=[1.0, 1.0])
+    assert trace.residual_norms[0] == math.inf
+    assert trace.terminated is Termination.CONVERGED
+    assert trace.error_norms[-1] <= 1e-8
 
 
 def test_solve_budget_exhaustion(example1):

@@ -1,6 +1,7 @@
 """Property tests (hypothesis): the closed 2x2 form against the eigensolver,
 the step-ratio views of a trace against each other and the CSV, spectral
-reports through JSON, and Matrix Market files read back bit for bit."""
+reports through JSON, Matrix Market files read back bit for bit, reflection
+as an involution, and the geometric step against the algebraic one."""
 
 import dataclasses
 import math
@@ -11,7 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cimmino import analyze, contraction_factor_2d, error_sequence, solve
+from cimmino import (
+    Hyperplane,
+    analyze,
+    centroid_step,
+    cimmino_step,
+    contraction_factor_2d,
+    error_sequence,
+    masses_to_weights,
+    reflect,
+    solve,
+)
 from cimmino import io as cio
 
 from conftest import random_nonsingular_system, system_at_angle
@@ -137,3 +148,38 @@ def test_matrix_market_files_read_back_bit_exact(tmp_path_factory, case):
     assert got.dtype == np.float64 and got.shape == matrix.shape
     assert not got.flags.writeable
     assert np.array_equal(got.view(np.uint64), matrix.view(np.uint64))
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    normal_exp=st.integers(-100, 100),
+    x_exp=st.integers(-100, 100),
+    offset=st.floats(-1e6, 1e6),
+)
+def test_reflection_is_an_involution(seed, n, normal_exp, x_exp, offset):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** normal_exp
+    x = rng.standard_normal(n) * 10.0 ** x_exp
+    plane = Hyperplane(a, offset)
+    back = reflect(reflect(x, plane), plane)
+    scale = 1.0 + np.linalg.norm(x) + abs(offset) / np.linalg.norm(a)
+    assert np.linalg.norm(back - x) <= 1e-12 * scale
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    masses=st.lists(st.floats(0.01, 100.0), min_size=6, max_size=6),
+    x_scale=st.floats(1e-3, 1e3),
+)
+def test_centroid_step_equals_cimmino_step_under_mass_weights(seed, n, masses, x_scale):
+    rng = np.random.default_rng(seed)
+    system = random_nonsingular_system(rng, n)
+    x = rng.standard_normal(n) * x_scale
+    m = masses[:n]
+    lhs = centroid_step(system, x, m)
+    rhs = cimmino_step(system, x, masses_to_weights(m))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
