@@ -5,6 +5,7 @@ defines the affine hyperplane {x : <a_i, x> = b_i}.  Everything here is a
 pure function on immutable values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ def internormal_angle(a1, a2) -> float:
     """
     a1 = as_vector(a1)
     a2 = as_vector(a2)
-    n1 = float(np.sqrt(np.sum(a1 * a1)))
-    n2 = float(np.sqrt(np.sum(a2 * a2)))
+    n1 = math.sqrt(np.add.reduce(a1 * a1))
+    n2 = math.sqrt(np.add.reduce(a2 * a2))
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("degenerate hyperplane row: zero normal")
     cos = float(np.dot(a1 / n1, a2 / n2))
@@ -117,13 +118,19 @@ def masses_to_weights(masses) -> np.ndarray:
     unit weights.
     """
     m = as_vector(masses)
-    if np.any(m <= 0.0):
-        raise ValueError("masses must all be positive")
-    with np.errstate(over="ignore"):
-        total = np.sum(m)
-    if total == np.inf:
-        raise ValueError("masses must have a finite sum")
     # Halving the sum, not doubling m, keeps a mass near the float maximum finite.
-    w = m / (0.5 * total)
+    w = m / (0.5 * _mass_total(m))
     w.setflags(write=False)
     return w
+
+
+def _mass_total(m: np.ndarray) -> float:
+    """sum(m) of positive masses; refuses a nonpositive mass and a sum
+    that overflows."""
+    if (m <= 0.0).any():
+        raise ValueError("masses must all be positive")
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(m))
+    if total == math.inf:
+        raise ValueError("masses must have a finite sum")
+    return total

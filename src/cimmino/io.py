@@ -9,10 +9,11 @@ reproducible for identical inputs.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .iteration import IterationTrace, LinearSystem, error_sequence
+from .iteration import IterationTrace, LinearSystem, _aligned_ratios
 from .spectral import ConvergenceClass, SpectralReport
 
 # Dense ingestion refuses anything above this many entries.
@@ -225,18 +226,19 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
     denominator underflowed.  Rows appear in iteration order and the final
     line is newline-terminated.
     """
+    # repr of a Python float is format_float; tolist() gives Python floats.
+    residuals = trace.residual_norms.tolist()
     if trace.error_norms is None:
-        cells = [("", "")] * trace.residual_norms.size
+        rows = [f"{nu},{res!r},," for nu, res in enumerate(residuals)]
     else:
-        cells = [
-            (format_float(err), "" if ratio is None else format_float(ratio))
-            for _, err, ratio in error_sequence(trace)
+        errors = trace.error_norms.tolist()
+        ratios = _aligned_ratios(trace.error_norms).tolist()
+        rows = [
+            f"{nu},{res!r},{err!r},{'' if math.isnan(ratio) else repr(ratio)}"
+            for nu, (res, err, ratio) in enumerate(zip(residuals, errors, ratios))
         ]
-    lines = [TRACE_CSV_HEADER]
-    for nu, (residual, (err, ratio)) in enumerate(zip(trace.residual_norms, cells)):
-        lines.append(f"{nu},{format_float(residual)},{err},{ratio}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([TRACE_CSV_HEADER, *rows]) + "\n")
 
 
 def read_trace_csv(path) -> list[tuple[int, float, float | None, float | None]]:
@@ -284,9 +286,10 @@ def report_document(report: SpectralReport) -> dict:
 
 def write_report_json(report: SpectralReport, path) -> None:
     """Serialize a report with stable field order and round-trip floats."""
+    # With indent set, dump and dumps share one encoder: same text, one write.
+    text = json.dumps(report_document(report), indent=2) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(report_document(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_report_json(path) -> SpectralReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Hyperplane, reflect
+from .geometry import Hyperplane, _mass_total, reflect
 from .linalg import DimensionMismatchError, as_matrix, as_vector
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -24,6 +24,8 @@ DEFAULT_MAX_ITER = 10_000
 DIVERGENCE_SENTINEL = 1e150
 # Error norms below this cannot safely divide a step ratio.
 RATIO_DENOMINATOR_FLOOR = 1e-300
+# Smallest normal binary64: a squared row norm below it has lost precision.
+_TINY = np.finfo(np.float64).tiny
 
 
 class Termination(enum.Enum):
@@ -50,16 +52,16 @@ class LinearSystem:
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
         b = _sized(self.rhs, a.shape[0], "rhs")
-        zero = ~np.any(a, axis=1)
-        if np.any(zero):
-            raise ValueError(f"zero row(s) in matrix: {np.nonzero(zero)[0].tolist()}")
+        zero = ~a.any(axis=1)
+        if zero.any():
+            raise ValueError(f"zero row(s) in matrix: {zero.nonzero()[0].tolist()}")
         with np.errstate(over="ignore"):
-            rn2 = np.sum(a * a, axis=1)
-            bb = np.sum(b * b)
+            rn2 = np.add.reduce(a * a, axis=1)
+            bb = np.add.reduce(b * b)
         # The step divides by ||a_i||^2: it must be a normal, finite float.
-        out_of_range = ~((rn2 >= np.finfo(np.float64).tiny) & (rn2 < np.inf))
-        if np.any(out_of_range):
-            rows = np.nonzero(out_of_range)[0].tolist()
+        out_of_range = ~((rn2 >= _TINY) & (rn2 < np.inf))
+        if out_of_range.any():
+            rows = out_of_range.nonzero()[0].tolist()
             raise ValueError(f"row(s) {rows}: squared norm under/overflows binary64")
         if bb == np.inf:
             raise ValueError("rhs: squared norm overflows binary64")
@@ -80,7 +82,7 @@ class LinearSystem:
 
     def residual_norm(self, x) -> float:
         r = self.rhs - self.matrix @ as_vector(x)
-        return float(np.sqrt(np.sum(r * r)))
+        return math.sqrt(np.add.reduce(r * r))
 
     def coefficients(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (w, w_i / ||a_i||^2): the weights, all ones by default,
@@ -88,12 +90,13 @@ class LinearSystem:
         not n finite positive values and rows whose coefficient overflows.
         """
         w = np.ones(self.n) if weights is None else _sized(weights, self.n, "weights")
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise ValueError("weights must all be positive")
         with np.errstate(over="ignore"):
             coef = w / self.row_norms_sq
-        rows = np.nonzero(~np.isfinite(coef))[0].tolist()
-        if rows:
+        overflow = ~np.isfinite(coef)
+        if overflow.any():
+            rows = overflow.nonzero()[0].tolist()
             raise ValueError(f"row(s) {rows}: weight / squared norm overflows binary64")
         w.setflags(write=False)
         coef.setflags(write=False)
@@ -169,12 +172,11 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     """
     x = _sized(x, system.n, "iterate")
     m = _sized(masses, system.n, "masses")
-    if np.any(m <= 0.0):
-        raise ValueError("masses must all be positive")
+    total = _mass_total(m)
     reflections = np.empty((system.n, system.n))
     for i, plane in enumerate(system.hyperplanes()):
         reflections[i] = reflect(x, plane)
-    return np.add.reduce(m[:, None] * reflections, axis=0) / float(np.sum(m))
+    return np.add.reduce(m[:, None] * reflections, axis=0) / total
 
 
 def solve(system: LinearSystem, weights=None, x0=None,
@@ -218,7 +220,10 @@ def solve(system: LinearSystem, weights=None, x0=None,
 
     a = system.matrix
     b = system.rhs
-    stop_abs = residual_tol * (1.0 + float(np.sqrt(np.sum(b * b))))
+    # Norms use np.add.reduce, the reduction np.sum wraps, without the
+    # wrapper's per-call cost, and math.sqrt, which rounds like np.sqrt:
+    # the bits are those of np.sqrt(np.sum(v * v)).
+    stop_abs = residual_tol * (1.0 + math.sqrt(np.add.reduce(b * b)))
     xs, resnorms = [], []
     x = x0
     terminated = None
@@ -226,12 +231,12 @@ def solve(system: LinearSystem, weights=None, x0=None,
     with np.errstate(over="ignore"):
         while terminated is None:
             r = b - a @ x
-            res = float(np.sqrt(np.sum(r * r)))
+            res = math.sqrt(np.add.reduce(r * r))
             xs.append(x)
             resnorms.append(res)
             if res <= stop_abs:
                 terminated = Termination.CONVERGED
-            elif np.sqrt(np.sum(x * x)) > DIVERGENCE_SENTINEL:
+            elif math.sqrt(np.add.reduce(x * x)) > DIVERGENCE_SENTINEL:
                 terminated = Termination.DIVERGED
             elif len(xs) > max_iter:
                 terminated = Termination.MAX_ITERATIONS
@@ -246,7 +251,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
     if solution is not None:
         diffs = iterates - solution
         with np.errstate(over="ignore"):
-            error_norms = np.sqrt(np.sum(diffs * diffs, axis=1))
+            error_norms = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
         error_norms.setflags(write=False)
 
     return IterationTrace(
@@ -262,7 +267,9 @@ def _aligned_ratios(error_norms: np.ndarray) -> np.ndarray:
     denominator is below RATIO_DENOMINATOR_FLOOR."""
     ratios = np.full(error_norms.size, np.nan)
     prev = error_norms[:-1]
-    np.divide(error_norms[1:], prev, out=ratios[1:], where=prev >= RATIO_DENOMINATOR_FLOOR)
+    # inf/inf (overflowed error norms) is NaN, an undefined ratio like the rest.
+    with np.errstate(invalid="ignore"):
+        np.divide(error_norms[1:], prev, out=ratios[1:], where=prev >= RATIO_DENOMINATOR_FLOOR)
     return ratios
 
 

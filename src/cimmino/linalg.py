@@ -16,7 +16,7 @@ def as_vector(values) -> np.ndarray:
     v = np.array(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     v.setflags(write=False)
     return v
@@ -27,7 +27,7 @@ def as_matrix(values) -> np.ndarray:
     m = np.array(values, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     m.setflags(write=False)
     return m
@@ -37,8 +37,9 @@ def symmetric_eigen(b) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by LAPACK (``np.linalg.eigvalsh``).
 
     The input must be symmetric to within ``1e-12 * (1 + max|B|)`` per
-    entry; it is then symmetrized as (B + B^T)/2 so rounding drift cannot
-    leak complex eigenvalues.
+    entry; it is then symmetrized as B/2 + B^T/2 so rounding drift cannot
+    leak complex eigenvalues.  That is (B + B^T)/2 bit for bit while the
+    halves stay normal, and it cannot overflow near the float maximum.
 
     Determinism contract: identical input under an identical BLAS thread
     setting gives bit-identical output.  Across thread counts the bits may
@@ -64,13 +65,13 @@ def symmetric_eigen(b) -> np.ndarray:
     n, m = b.shape
     if n != m:
         raise DimensionMismatchError(f"eigenvalues need a square matrix, got {n}x{m}")
-    scale = 1.0 + float(np.max(np.abs(b)))
-    asym = float(np.max(np.abs(b - b.T)))
+    scale = 1.0 + float(np.abs(b).max())
+    asym = float(np.abs(b - b.T).max())
     if asym > ASYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix is not symmetric: max |B_ij - B_ji| = {asym:.3e} "
             f"exceeds {ASYMMETRY_TOL * scale:.3e}"
         )
-    eigenvalues = np.linalg.eigvalsh((b + b.T) / 2.0)
+    eigenvalues = np.linalg.eigvalsh(b / 2.0 + b.T / 2.0)
     eigenvalues.setflags(write=False)
     return eigenvalues

@@ -130,11 +130,14 @@ def analyze(system: LinearSystem, weights=None,
     condition number, and the optimal scalar rescaling of the weights.
 
     Raises ``SingularMatrixError`` when lambda_1 <= 1e-14 * lambda_n, which
-    flags a numerically singular coefficient matrix.
+    flags a numerically singular coefficient matrix, and ``ValueError`` when
+    an eigenvalue overflows binary64.
     """
     w, _ = system.coefficients(weights)
     b = weighted_normal_matrix(system, w)
     lam = symmetric_eigen(b)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"eigenvalues {lam.tolist()} of B overflow binary64")
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
     if lam_min <= SINGULARITY_RATIO * lam_max:
@@ -184,7 +187,7 @@ def is_tight_frame(system: LinearSystem, weights=None,
 
 
 def _is_identity(b: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(b - np.eye(b.shape[0])))) <= tol
+    return float(np.abs(b - np.eye(b.shape[0])).max()) <= tol
 
 
 def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:

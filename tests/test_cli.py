@@ -177,6 +177,20 @@ def test_solve_diverging_overflow_prints_no_warning(tmp_path, capsys):
     assert "termination: Diverged\niterations: 386\nfinal_residual: inf\n" in captured.out
 
 
+def test_solve_overflowing_error_norms_print_no_warning(tmp_path, capsys):
+    # Every error norm against this far-off reference is inf; inf/inf ratios
+    # are undefined and written empty, without numpy's "invalid value" warning.
+    trace_path = tmp_path / "trace.csv"
+    code = _solve_warning_free(tmp_path, [[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0],
+                               "--solution=1e200,1e200", "--max-iter", "3",
+                               "--trace-out", str(trace_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"trace written to {trace_path}\n"
+    rows = trace_path.read_text(encoding="ascii").splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["inf", ""]] * 4
+
+
 def test_usage_error_exits_1(capsys):
     code = None
     with pytest.raises(SystemExit) as excinfo:
@@ -227,6 +241,38 @@ def test_analyze_singular_matrix_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "singular" in captured.err
+
+
+def _analyze_example1(tmp_path, *options):
+    """Exit code of ``cimmino analyze`` on example1; it must emit no RuntimeWarning."""
+    mat = tmp_path / "a1.mtx"
+    write_mm_array(mat, [[2.0, 1.0], [1.0, 2.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["analyze", "--matrix", str(mat), *options])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
+def test_analyze_refuses_a_spectrum_past_the_float_range(tmp_path, capsys):
+    # B is finite (entries up to 1e308) but its top eigenvalue, 1.8e308, is
+    # not.  Before this refusal (B + B^T)/2 overflowed and analyze printed
+    # "eigenvalues: nan nan", "class: Diverges" and exited 0.
+    code = _analyze_example1(tmp_path, "--weights", "1e308,1e308")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("cimmino: error: eigenvalues [1.9999999999999995e+307, inf] "
+                            "of B overflow binary64\n")
+
+
+def test_analyze_huge_finite_spectrum_still_reports_diverges(tmp_path, capsys):
+    code = _analyze_example1(tmp_path, "--weights", "5e307,5e307")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "eigenvalues: 9.999999999999997e+306 9e+307\n" in captured.out
+    assert "class: Diverges\n" in captured.out
 
 
 def test_analyze_three_by_three_has_no_theta_line(tmp_path, capsys):

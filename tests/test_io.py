@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cimmino import LinearSystem, analyze, solve
+from cimmino import IterationTrace, LinearSystem, Termination, analyze, error_sequence, solve
 from cimmino import io as cio
 
 from conftest import write_mm_array, write_mm_vector
@@ -326,6 +326,75 @@ def test_trace_csv_unwritable_path(tmp_path, example1):
     trace = solve(example1, max_iter=2)
     with pytest.raises(OSError):
         cio.write_trace_csv(trace, tmp_path / "missing-dir" / "trace.csv")
+
+
+def _reference_trace_csv(trace):
+    """The trace CSV rendered from error_sequence rows and format_float,
+    as the byte oracle for write_trace_csv."""
+    if trace.error_norms is None:
+        cells = [("", "")] * trace.residual_norms.size
+    else:
+        cells = [
+            (cio.format_float(err), "" if ratio is None else cio.format_float(ratio))
+            for _, err, ratio in error_sequence(trace)
+        ]
+    lines = [cio.TRACE_CSV_HEADER]
+    for nu, (residual, (err, ratio)) in enumerate(zip(trace.residual_norms, cells)):
+        lines.append(f"{nu},{cio.format_float(residual)},{err},{ratio}")
+    return "\n".join(lines) + "\n"
+
+
+def _trace_from(residuals, errors):
+    residuals = np.array(residuals, dtype=np.float64)
+    errors = None if errors is None else np.array(errors, dtype=np.float64)
+    return IterationTrace(iterates=np.zeros((residuals.size, 2)), residual_norms=residuals,
+                          terminated=Termination.MAX_ITERATIONS, error_norms=errors)
+
+
+_EXAMPLE1 = ([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+_WRITER_TRACES = {
+    "with-solution": lambda: solve(LinearSystem(*_EXAMPLE1), known_solution=[1.0, 1.0]),
+    "without-solution": lambda: solve(LinearSystem(*_EXAMPLE1), max_iter=7),
+    # error[0] == 0, so ratio 1 is undefined.
+    "undefined-ratio": lambda: solve(LinearSystem(*_EXAMPLE1), x0=[5.0, 5.0], max_iter=4,
+                                     known_solution=[5.0, 5.0]),
+    "inf-norms": lambda: solve(LinearSystem(*_EXAMPLE1), weights=[1e200, 1e200],
+                               known_solution=[1.0, 1.0]),
+    # inf/inf is an undefined ratio too; also NaN, -0.0, subnormals and the floor.
+    "edge-values": lambda: _trace_from(
+        [math.inf, math.inf, 5e-324, 0.0, math.nan, 1e-300, 0.1 + 0.2, -0.0],
+        [math.inf, math.inf, 1e-301, 2.0, 0.0, math.nan, 1e-300, 3e-300]),
+    "edge-values-without-solution": lambda: _trace_from([math.inf, math.nan, 5e-324], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_TRACES))
+def test_trace_csv_matches_the_error_sequence_rendering(tmp_path, case):
+    trace = _WRITER_TRACES[case]()
+    path = tmp_path / "trace.csv"
+    cio.write_trace_csv(trace, path)
+    assert path.read_bytes() == _reference_trace_csv(trace).encode("ascii")
+
+
+@pytest.mark.parametrize("weights", [None, [0.5, 1.5], [5e307, 5e307]])
+def test_report_json_matches_json_dump(tmp_path, weights):
+    report = analyze(LinearSystem(*_EXAMPLE1), weights)
+    path = tmp_path / "report.json"
+    cio.write_report_json(report, path)
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(cio.report_document(report), fh, indent=2)
+        fh.write("\n")
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_report_json_without_theta_matches_json_dump(tmp_path):
+    rng = np.random.default_rng(91)
+    report = analyze(LinearSystem(rng.standard_normal((4, 4)), rng.standard_normal(4)))
+    path = tmp_path / "report.json"
+    cio.write_report_json(report, path)
+    text = json.dumps(cio.report_document(report), indent=2) + "\n"
+    assert path.read_bytes() == text.encode("ascii")
 
 
 # ---------------------------------------------------------------------------

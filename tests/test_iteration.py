@@ -147,6 +147,12 @@ def test_centroid_matches_converted_masses_on_random_system():
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (1.0 + np.max(np.abs(rhs)))
 
 
+def test_centroid_step_refuses_masses_whose_sum_overflows(example1):
+    # Before this refusal the step warned three times and returned [nan, nan].
+    with pytest.raises(ValueError, match="masses must have a finite sum"):
+        centroid_step(example1, [0.0, 0.0], [1e308, 1e308])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_step_equivalence_random_triples(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -275,6 +281,86 @@ def test_solve_converges_from_an_overflowed_starting_residual():
     assert trace.residual_norms[0] == math.inf
     assert trace.terminated is Termination.CONVERGED
     assert trace.error_norms[-1] <= 1e-8
+
+
+def _reference_solve(system, weights=None, x0=None, max_iter=10_000, known_solution=None):
+    """The solve loop written out with np.sqrt(np.sum(...)) norms, as the
+    bit oracle for the lean loop: (iterates, residual_norms, error_norms,
+    termination)."""
+    _, coef = system.coefficients(weights)
+    a, b = system.matrix, system.rhs
+    stop_abs = 1e-10 * (1.0 + float(np.sqrt(np.sum(b * b))))
+    x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=np.float64)
+    xs, resnorms = [], []
+    terminated = None
+    with np.errstate(over="ignore"):
+        while terminated is None:
+            r = b - a @ x
+            res = float(np.sqrt(np.sum(r * r)))
+            xs.append(x)
+            resnorms.append(res)
+            if res <= stop_abs:
+                terminated = Termination.CONVERGED
+            elif np.sqrt(np.sum(x * x)) > 1e150:
+                terminated = Termination.DIVERGED
+            elif len(xs) > max_iter:
+                terminated = Termination.MAX_ITERATIONS
+            else:
+                x = x + (coef * r) @ a
+        iterates = np.array(xs)
+        errors = None
+        if known_solution is not None:
+            diffs = iterates - np.asarray(known_solution, dtype=np.float64)
+            errors = np.sqrt(np.sum(diffs * diffs, axis=1))
+    return iterates, np.array(resnorms), errors, terminated
+
+
+def _seeded_run(n):
+    rng = np.random.default_rng(1000 + n)
+    system = random_nonsingular_system(rng, n)
+    solution = np.linalg.solve(system.matrix, system.rhs)
+    # Cimmino's equal masses, w_i = 2/n, converge on any nonsingular system.
+    return system, dict(weights=np.full(n, 2.0 / n), max_iter=3000, known_solution=solution)
+
+
+_EXAMPLE1 = ([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+_ORACLE_RUNS = {
+    "seeded-n2": lambda: _seeded_run(2),
+    "seeded-n3": lambda: _seeded_run(3),
+    "seeded-n8": lambda: _seeded_run(8),
+    "seeded-n50": lambda: _seeded_run(50),
+    "diverges-on-doubled-weights": lambda: (
+        LinearSystem(*_EXAMPLE1), dict(weights=[2.0, 2.0], known_solution=[1.0, 1.0])),
+    "max-iterations": lambda: (
+        LinearSystem(*_EXAMPLE1), dict(max_iter=5, x0=[4.0, -7.0], known_solution=[1.0, 1.0])),
+    "overflowed-start": lambda: (
+        LinearSystem([[2e152, 1e152], [1e152, 2e152]], [3e152, 3e152]),
+        dict(x0=[-1000.0, 1000.0], known_solution=[1.0, 1.0])),
+    "iterate-crosses-1e150": lambda: (
+        LinearSystem([[2e10, 1e10], [1e10, 2e10]], [3.0, 3.0]),
+        dict(weights=[2.0, 2.0], known_solution=[1e-10, 1e-10])),
+    # ||x0|| is exactly the sentinel (not past it), then one ulp above it.
+    "start-on-the-sentinel": lambda: (
+        LinearSystem(*_EXAMPLE1), dict(x0=[1e150, 0.0], known_solution=[1.0, 1.0])),
+    "start-just-past-the-sentinel": lambda: (
+        LinearSystem(*_EXAMPLE1), dict(x0=[np.nextafter(1e150, np.inf), 0.0])),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_ORACLE_RUNS))
+def test_solve_matches_the_sum_wrapper_loop_bit_for_bit(run):
+    system, kwargs = _ORACLE_RUNS[run]()
+    trace = solve(system, **kwargs)
+    iterates, residuals, errors, terminated = _reference_solve(system, **kwargs)
+    assert trace.terminated is terminated
+    if errors is None:
+        assert trace.error_norms is None
+    for got, want in ((trace.iterates, iterates), (trace.residual_norms, residuals),
+                      (trace.error_norms, errors)):
+        if want is None:
+            continue
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_solve_budget_exhaustion(example1):

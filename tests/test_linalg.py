@@ -68,6 +68,12 @@ def test_eigen_diagonal_matrix_untouched():
     assert not lam.flags.writeable
 
 
+def test_eigen_symmetrization_does_not_overflow_near_the_float_maximum():
+    # (B + B^T)/2 overflowed here ("overflow encountered in add") and gave NaN.
+    lam = symmetric_eigen(np.diag([1e308, 1.5e308]))
+    assert np.array_equal(lam, [1e308, 1.5e308])
+
+
 def test_eigen_example1_normal_matrix():
     b = np.array([[5.0, 4.0], [4.0, 5.0]]) / 5.0
     lam = symmetric_eigen(b)
