@@ -23,7 +23,6 @@ from .iteration import (
     Termination,
     centroid_step,
     cimmino_step,
-    error_sequence,
     solve,
 )
 from .linalg import (
@@ -65,7 +64,6 @@ __all__ = [
     "classify_convergence",
     "contraction_factor_2d",
     "error_envelope",
-    "error_sequence",
     "internormal_angle",
     "is_tight_frame",
     "iteration_matrix",

@@ -6,13 +6,15 @@ pure function on immutable values.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import as_vector
 
 UNIT_NORM_TOL = 1e-14
+# Smallest normal binary64: a squared row norm below it has lost precision.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,11 +22,13 @@ class Hyperplane:
     """Affine hyperplane {x : <normal, x> = offset}.
 
     The normal is stored as given (no pre-normalization) so that weighting
-    by 1/||a||^2 downstream uses the raw row exactly.
+    by 1/||a||^2 downstream uses the raw row exactly.  The normal obeys the
+    row rule of ``LinearSystem``: ||normal||^2 is a normal, finite binary64.
     """
 
     normal: np.ndarray
     offset: float
+    norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         normal = as_vector(self.normal)
@@ -33,13 +37,28 @@ class Hyperplane:
             raise ValueError("hyperplane offset must be finite")
         if not np.any(normal != 0.0):
             raise ValueError("degenerate hyperplane row: zero normal")
+        with np.errstate(over="ignore"):
+            norm_sq = float(_row_norms_sq(normal[None, :])[0])
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "norm_sq", norm_sq)
 
-    @property
-    def norm_sq(self) -> float:
-        # Squared norm, sqrt-free: keeps integer-data systems exact.
-        return float(np.sum(self.normal * self.normal))
+
+def _row_norms_sq(a: np.ndarray) -> np.ndarray:
+    """Read-only squared norms of the rows of ``a``, sqrt-free so that
+    integer data stays exact.  Refuses a row whose squared norm is not a
+    normal, finite binary64 number: the step divides by it.
+
+    Call it with overflow ignored (``np.errstate(over="ignore")``): an
+    overflowing norm is inf, a value that this check refuses.
+    """
+    rn2 = np.add.reduce(a * a, axis=1)
+    out_of_range = ~((rn2 >= _TINY) & (rn2 < np.inf))
+    if out_of_range.any():
+        rows = out_of_range.nonzero()[0].tolist()
+        raise ValueError(f"row(s) {rows}: squared norm under/overflows binary64")
+    rn2.setflags(write=False)
+    return rn2
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Hyperplane, _mass_total, reflect
+from .geometry import _mass_total, _row_norms_sq
 from .linalg import DimensionMismatchError, as_matrix, as_vector
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -24,8 +24,6 @@ DEFAULT_MAX_ITER = 10_000
 DIVERGENCE_SENTINEL = 1e150
 # Error norms below this cannot safely divide a step ratio.
 RATIO_DENOMINATOR_FLOOR = 1e-300
-# Smallest normal binary64: a squared row norm below it has lost precision.
-_TINY = np.finfo(np.float64).tiny
 
 
 class Termination(enum.Enum):
@@ -56,16 +54,10 @@ class LinearSystem:
         if zero.any():
             raise ValueError(f"zero row(s) in matrix: {zero.nonzero()[0].tolist()}")
         with np.errstate(over="ignore"):
-            rn2 = np.add.reduce(a * a, axis=1)
+            rn2 = _row_norms_sq(a)
             bb = np.add.reduce(b * b)
-        # The step divides by ||a_i||^2: it must be a normal, finite float.
-        out_of_range = ~((rn2 >= _TINY) & (rn2 < np.inf))
-        if out_of_range.any():
-            rows = out_of_range.nonzero()[0].tolist()
-            raise ValueError(f"row(s) {rows}: squared norm under/overflows binary64")
         if bb == np.inf:
             raise ValueError("rhs: squared norm overflows binary64")
-        rn2.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "row_norms_sq", rn2)
@@ -73,12 +65,6 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def hyperplanes(self) -> tuple[Hyperplane, ...]:
-        """The row hyperplanes {x : <a_i, x> = b_i}."""
-        return tuple(
-            Hyperplane(self.matrix[i], float(self.rhs[i])) for i in range(self.n)
-        )
 
     def residual_norm(self, x) -> float:
         r = self.rhs - self.matrix @ as_vector(x)
@@ -130,7 +116,7 @@ class IterationTrace:
         """The defined quotients error[nu+1]/error[nu], in order.
 
         A ratio whose denominator is below 1e-300 is undefined and omitted;
-        ``error_sequence`` keeps the step alignment instead.  None when the
+        the trace CSV keeps the step alignment instead.  None when the
         trace has no error norms.
         """
         if self.error_norms is None:
@@ -168,15 +154,16 @@ def _step(a, x, coef, r) -> np.ndarray:
 def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     """One step in geometric form: mass-weighted centroid of the reflections.
 
-    Equals ``cimmino_step`` with weights ``masses_to_weights(masses)``.
+    Row i of the reflections is x + 2 (b_i - <a_i, x>) / ||a_i||^2 * a_i,
+    the mirror image of x across {<a_i, x> = b_i}.  The masses are
+    normalized before the product, so masses near the float maximum stay
+    finite.  Equals ``cimmino_step`` with weights ``masses_to_weights(masses)``.
     """
     x = _sized(x, system.n, "iterate")
     m = _sized(masses, system.n, "masses")
-    total = _mass_total(m)
-    reflections = np.empty((system.n, system.n))
-    for i, plane in enumerate(system.hyperplanes()):
-        reflections[i] = reflect(x, plane)
-    return np.add.reduce(m[:, None] * reflections, axis=0) / total
+    a = system.matrix
+    reflections = x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a
+    return (m / _mass_total(m)) @ reflections
 
 
 def solve(system: LinearSystem, weights=None, x0=None,
@@ -271,19 +258,3 @@ def _aligned_ratios(error_norms: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         np.divide(error_norms[1:], prev, out=ratios[1:], where=prev >= RATIO_DENOMINATOR_FLOOR)
     return ratios
-
-
-def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None]]:
-    """Flatten a traced run into (step, error_norm, ratio) rows for export.
-
-    The ratio at row nu is error[nu]/error[nu-1]; it is None at nu = 0 and
-    wherever the denominator underflowed.  Requires a trace recorded with
-    ``known_solution``.
-    """
-    if trace.error_norms is None:
-        raise ValueError("known solution required: trace has no error norms")
-    ratios = _aligned_ratios(trace.error_norms)
-    return [
-        (nu, float(err), None if math.isnan(ratio) else float(ratio))
-        for nu, (err, ratio) in enumerate(zip(trace.error_norms, ratios))
-    ]

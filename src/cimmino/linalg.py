@@ -66,7 +66,9 @@ def symmetric_eigen(b) -> np.ndarray:
     if n != m:
         raise DimensionMismatchError(f"eigenvalues need a square matrix, got {n}x{m}")
     scale = 1.0 + float(np.abs(b).max())
-    asym = float(np.abs(b - b.T).max())
+    # An overflowing difference is inf, which the check refuses.
+    with np.errstate(over="ignore"):
+        asym = float(np.abs(b - b.T).max())
     if asym > ASYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix is not symmetric: max |B_ij - B_ji| = {asym:.3e} "

@@ -124,8 +124,7 @@ def _classify(rho: float) -> ConvergenceClass:
     return ConvergenceClass.DIVERGES
 
 
-def analyze(system: LinearSystem, weights=None,
-            tight_frame_tol: float = DEFAULT_TIGHT_FRAME_TOL) -> SpectralReport:
+def analyze(system: LinearSystem, weights=None) -> SpectralReport:
     """Exact spectral report: eigenvalues of B, contraction factor, class,
     condition number, and the optimal scalar rescaling of the weights.
 
@@ -157,7 +156,7 @@ def analyze(system: LinearSystem, weights=None,
         convergence_class=_classify(rho),
         optimal_alpha=2.0 / (lam_min + lam_max),
         optimal_scaled_rate=(kappa - 1.0) / (kappa + 1.0),
-        tight_frame=_is_identity(b, tight_frame_tol),
+        tight_frame=_is_identity(b, DEFAULT_TIGHT_FRAME_TOL),
     )
 
 

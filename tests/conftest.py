@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cimmino import LinearSystem
+from cimmino import IterationTrace, LinearSystem
+from cimmino.iteration import _aligned_ratios
 
 
 @pytest.fixture
@@ -56,3 +57,19 @@ def write_mm_vector(path, values) -> None:
     """Write a vector as an n x 1 Matrix Market array file."""
     v = np.asarray(values, dtype=np.float64)
     write_mm_array(path, v.reshape(-1, 1))
+
+
+def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None]]:
+    """Flatten a traced run into (step, error_norm, ratio) rows for export.
+
+    The ratio at row nu is error[nu]/error[nu-1]; it is None at nu = 0 and
+    wherever the denominator underflowed.  Requires a trace recorded with
+    ``known_solution``.
+    """
+    if trace.error_norms is None:
+        raise ValueError("known solution required: trace has no error norms")
+    ratios = _aligned_ratios(trace.error_norms)
+    return [
+        (nu, float(err), None if math.isnan(ratio) else float(ratio))
+        for nu, (err, ratio) in enumerate(zip(trace.error_norms, ratios))
+    ]

@@ -122,6 +122,13 @@ def test_hyperplane_rejects_zero_normal():
         Hyperplane([0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("normal", [[1e-200, 0.0], [1e200, 1e200]])
+def test_hyperplane_refuses_rows_that_linear_system_refuses(normal):
+    # reflect divided by zero on the first and overflowed on the second.
+    with pytest.raises(ValueError, match="squared norm under/overflows binary64"):
+        Hyperplane(normal, 1.0)
+
+
 def test_internormal_angle_orthogonal():
     assert internormal_angle([1.0, 0.0], [0.0, 1.0]) == pytest.approx(
         math.pi / 2.0, abs=1e-15

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cimmino import IterationTrace, LinearSystem, Termination, analyze, error_sequence, solve
+from cimmino import IterationTrace, LinearSystem, Termination, analyze, solve
 from cimmino import io as cio
 
-from conftest import write_mm_array, write_mm_vector
+from conftest import error_sequence, write_mm_array, write_mm_vector
 
 
 def _write(tmp_path, name, text):

@@ -5,19 +5,20 @@ import pytest
 
 from cimmino import (
     DimensionMismatchError,
+    Hyperplane,
     LinearSystem,
     Termination,
     analyze,
     centroid_step,
     cimmino_step,
-    error_sequence,
     iteration_matrix,
     masses_to_weights,
+    reflect,
     solve,
     weighted_normal_matrix,
 )
 
-from conftest import random_nonsingular_system, system_at_angle
+from conftest import error_sequence, random_nonsingular_system, system_at_angle
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +87,6 @@ def test_system_rejects_non_finite():
         LinearSystem([[1.0, float("nan")], [0.0, 1.0]], [1.0, 2.0])
 
 
-def test_system_hyperplanes_match_rows(example1):
-    planes = example1.hyperplanes()
-    assert len(planes) == 2
-    assert np.array_equal(planes[0].normal, [2.0, 1.0])
-    assert planes[1].offset == 3.0
-
-
 def test_system_is_immutable(example1):
     with pytest.raises(ValueError):
         example1.matrix[0, 0] = 99.0
@@ -151,6 +145,28 @@ def test_centroid_step_refuses_masses_whose_sum_overflows(example1):
     # Before this refusal the step warned three times and returned [nan, nan].
     with pytest.raises(ValueError, match="masses must have a finite sum"):
         centroid_step(example1, [0.0, 0.0], [1e308, 1e308])
+
+
+def test_centroid_step_normalizes_masses_near_the_float_maximum(example1):
+    # The mass-weighted sum overflowed here and gave [inf, inf] with a warning.
+    out = centroid_step(example1, [0.0, 0.0], [8e307, 8e307])
+    assert np.array_equal(out, centroid_step(example1, [0.0, 0.0], [1.0, 1.0]))
+    assert np.max(np.abs(out - [1.8, 1.8])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_centroid_step_is_the_mean_of_the_row_reflections(seed, n):
+    rng = np.random.default_rng(3000 + seed)
+    system = random_nonsingular_system(rng, n)
+    x = rng.standard_normal(n) * 3.0
+    masses = rng.uniform(0.1, 5.0, size=n)
+    reflections = [
+        reflect(x, Hyperplane(system.matrix[i], system.rhs[i])) for i in range(n)
+    ]
+    expected = sum(m * q for m, q in zip(masses, reflections)) / masses.sum()
+    out = centroid_step(system, x, masses)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -144,6 +144,13 @@ def test_eigen_rejects_asymmetric():
         symmetric_eigen(b)
 
 
+def test_eigen_refuses_asymmetry_that_overflows_without_a_warning():
+    # B - B^T overflowed here ("overflow encountered in subtract") before
+    # the refusal; the suite turns that warning into an error.
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigen([[1.0, 1e308], [-1e308, 1.0]])
+
+
 def test_eigen_accepts_roundoff_asymmetry():
     b = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
     assert symmetric_eigen(b).size == 2

@@ -18,14 +18,13 @@ from cimmino import (
     centroid_step,
     cimmino_step,
     contraction_factor_2d,
-    error_sequence,
     masses_to_weights,
     reflect,
     solve,
 )
 from cimmino import io as cio
 
-from conftest import random_nonsingular_system, system_at_angle
+from conftest import error_sequence, random_nonsingular_system, system_at_angle
 
 # Fixed example sequence and no example database: the suite stays
 # deterministic and leaves no .hypothesis/ directory behind.
