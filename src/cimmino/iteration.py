@@ -20,6 +20,8 @@ from .linalg import DimensionMismatchError, as_matrix, as_vector
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
+# Steps taken between two tests of the stopping rules in solve.
+_CHECK_BLOCK = 16
 # Iterate-norm threshold that flags divergence before floats overflow.
 DIVERGENCE_SENTINEL = 1e150
 # Error norms below this cannot safely divide a step ratio.
@@ -143,12 +145,20 @@ def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     x = _sized(x, system.n, "iterate")
     _, coef = system.coefficients(weights)
     a = system.matrix
-    return _step(a, x, coef, system.rhs - a @ x)
+    return _step(a, x, coef, system.rhs - np.dot(a, x))
 
 
 def _step(a, x, coef, r) -> np.ndarray:
     # The one step formula, shared by cimmino_step and the solve loop.
-    return x + (coef * r) @ a
+    # np.dot makes the same gemv call as @, with less dispatch.
+    return x + np.dot(coef * r, a)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # Row i's bits are those of math.sqrt(np.add.reduce(rows[i] * rows[i])) and
+    # of np.sqrt(np.sum(...)): the axis=1 reduce sums each row as the 1-D one
+    # does, and both square roots are correctly rounded.
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
@@ -188,7 +198,8 @@ def solve(system: LinearSystem, weights=None, x0=None,
     residual_tol : float
         Relative residual tolerance, finite and > 0.
     max_iter : int
-        Iteration budget, >= 1.
+        Iteration budget, >= 1: at most floor(max_iter) steps are taken.  A
+        float is accepted, and ``math.inf`` sets no budget.
     known_solution : array_like, optional
         When given, per-iterate error norms and step ratios are recorded.
 
@@ -207,38 +218,46 @@ def solve(system: LinearSystem, weights=None, x0=None,
 
     a = system.matrix
     b = system.rhs
-    # Norms use np.add.reduce, the reduction np.sum wraps, without the
-    # wrapper's per-call cost, and math.sqrt, which rounds like np.sqrt:
-    # the bits are those of np.sqrt(np.sum(v * v)).
     stop_abs = residual_tol * (1.0 + math.sqrt(np.add.reduce(b * b)))
     xs, resnorms = [], []
     x = x0
     terminated = None
-    # A diverging run's norms may overflow to inf: a value, not a fault.
-    with np.errstate(over="ignore"):
+    # Steps run in blocks of up to _CHECK_BLOCK, and the residual and
+    # divergence tests run once per block on the block's stacked norms; the
+    # steps after the first stop are dropped.  A diverging run's norms may
+    # overflow to inf, and a dropped step past the crossing to inf - inf:
+    # values, not faults.
+    with np.errstate(over="ignore", invalid="ignore"):
         while terminated is None:
-            r = b - a @ x
-            res = math.sqrt(np.add.reduce(r * r))
-            xs.append(x)
-            resnorms.append(res)
-            if res <= stop_abs:
-                terminated = Termination.CONVERGED
-            elif math.sqrt(np.add.reduce(x * x)) > DIVERGENCE_SENTINEL:
-                terminated = Termination.DIVERGED
+            start = len(xs)
+            rs = []
+            for _ in range(_CHECK_BLOCK):
+                r = b - np.dot(a, x)
+                xs.append(x)
+                rs.append(r)
+                if len(xs) > max_iter:
+                    break
+                x = _step(a, x, coef, r)
+            res = _row_norms(np.array(rs))
+            converged = res <= stop_abs
+            stops = converged | (_row_norms(np.array(xs[start:])) > DIVERGENCE_SENTINEL)
+            k = int(stops.argmax())
+            if stops[k]:
+                terminated = Termination.CONVERGED if converged[k] else Termination.DIVERGED
+                del xs[start + k + 1:]
+                res = res[:k + 1]
             elif len(xs) > max_iter:
                 terminated = Termination.MAX_ITERATIONS
-            else:
-                x = _step(a, x, coef, r)
+            resnorms.append(res)
     iterates = np.array(xs)
-    residual_norms = np.array(resnorms)
+    residual_norms = np.concatenate(resnorms)
     iterates.setflags(write=False)
     residual_norms.setflags(write=False)
 
     error_norms = None
     if solution is not None:
-        diffs = iterates - solution
         with np.errstate(over="ignore"):
-            error_norms = np.sqrt(np.add.reduce(diffs * diffs, axis=1))
+            error_norms = _row_norms(iterates - solution)
         error_norms.setflags(write=False)
 
     return IterationTrace(

@@ -524,6 +524,9 @@ def test_benchmark_trace_points_resolve_and_record_each_layer_once(monkeypatch):
         system = cimmino.LinearSystem([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
         cimmino.analyze(system)
         cimmino.solve(system)
+        # analyze assembles B from the coefficients it has already checked,
+        # through a private helper, so only a direct call records this span.
+        cimmino.weighted_normal_matrix(system)
     finally:
         tracer.uninstall()
     assert tracer.absent == []

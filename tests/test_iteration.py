@@ -340,7 +340,36 @@ def _seeded_run(n):
 
 
 _EXAMPLE1 = ([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+
+
+def _example1_run(**kwargs):
+    return LinearSystem(*_EXAMPLE1), dict(known_solution=[1.0, 1.0], **kwargs)
+
+
+def _converging_at(step):
+    # From x* + d (1, -1) the error and the residual both contract by exactly
+    # 0.8 per step; d puts the residual half a step above the stopping
+    # threshold at `step`.
+    stop = 1e-10 * (1.0 + math.sqrt(18.0))
+    d = stop / (math.sqrt(2.0) * 0.8 ** (step - 0.5))
+    return _example1_run(x0=[1.0 + d, 1.0 - d])
+
+
+# Runs that stop on either side of solve's blocks of 16 steps, with the step
+# count and termination each is built to reach.
+_BLOCK_EDGE_STOPS = {
+    **{f"max-iter-{m}": (m, Termination.MAX_ITERATIONS) for m in (1, 15, 16, 17, 32, 33)},
+    **{f"converges-at-step-{k}": (k, Termination.CONVERGED) for k in (0, 15, 16, 17)},
+    # The iterate crosses 1e150 at step 4; the rest of its block overflows.
+    "diverges-mid-block-into-overflow": (4, Termination.DIVERGED),
+}
 _ORACLE_RUNS = {
+    **{f"max-iter-{m}": (lambda m=m: _example1_run(max_iter=m, x0=[4.0, -7.0]))
+       for m in (1, 15, 16, 17, 32, 33)},
+    "converges-at-step-0": lambda: _example1_run(x0=[1.0, 1.0]),
+    **{f"converges-at-step-{k}": (lambda k=k: _converging_at(k)) for k in (15, 16, 17)},
+    "diverges-mid-block-into-overflow": lambda: _example1_run(weights=[1e40, 1e40]),
+    "seeded-n200": lambda: _seeded_run(200),
     "seeded-n2": lambda: _seeded_run(2),
     "seeded-n3": lambda: _seeded_run(3),
     "seeded-n8": lambda: _seeded_run(8),
@@ -377,6 +406,53 @@ def test_solve_matches_the_sum_wrapper_loop_bit_for_bit(run):
             continue
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("run", sorted(_BLOCK_EDGE_STOPS))
+def test_block_edge_runs_stop_where_named(run):
+    system, kwargs = _ORACLE_RUNS[run]()
+    trace = solve(system, **kwargs)
+    assert (trace.iterations, trace.terminated) == _BLOCK_EDGE_STOPS[run]
+
+
+def test_solve_drops_the_overflowing_steps_after_a_mid_block_divergence():
+    # solve runs the block on to step 16 before it tests the norms; those
+    # steps reach inf and then inf - inf = NaN, and must neither warn (a
+    # RuntimeWarning fails the suite) nor reach the trace.
+    system, kwargs = _ORACLE_RUNS["diverges-mid-block-into-overflow"]()
+    trace = solve(system, **kwargs)
+    assert trace.iterations == 4 and np.isfinite(trace.iterates).all()
+    _, coef = system.coefficients(kwargs["weights"])
+    x = trace.final
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(16 - 4):
+            x = x + (coef * (system.rhs - system.matrix @ x)) @ system.matrix
+    assert np.isnan(x).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50])
+def test_cimmino_step_is_one_solve_step_bit_for_bit(n):
+    rng = np.random.default_rng(4000 + n)
+    system = random_nonsingular_system(rng, n)
+    x = rng.standard_normal(n) * 3.0
+    w = rng.uniform(0.1, 2.0, size=n)
+    trace = solve(system, w, x0=x, max_iter=1)
+    assert trace.iterations == 1
+    assert np.array_equal(cimmino_step(system, x, w).view(np.int64),
+                          trace.iterates[1].view(np.int64))
+
+
+@pytest.mark.parametrize("max_iter, x0, same_as, steps, terminated", [
+    (1e4, None, 10_000, 103, Termination.CONVERGED),
+    (math.inf, None, 10_000, 103, Termination.CONVERGED),
+    (2.5, [4.0, -7.0], 2, 2, Termination.MAX_ITERATIONS),
+], ids=["1e4", "inf", "2.5"])
+def test_solve_takes_any_real_budget_of_at_least_one(example1, max_iter, x0, same_as,
+                                                     steps, terminated):
+    # A budget of 2.5 allows the steps whose count does not exceed it.
+    trace = solve(example1, x0=x0, max_iter=max_iter)
+    assert (trace.iterations, trace.terminated) == (steps, terminated)
+    assert np.array_equal(trace.iterates, solve(example1, x0=x0, max_iter=same_as).iterates)
 
 
 def test_solve_budget_exhaustion(example1):
