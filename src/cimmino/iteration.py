@@ -11,6 +11,7 @@ Both forms are provided, plus a trace-recording driver.
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,7 +227,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
     # divergence tests run once per block on the block's stacked norms; the
     # steps after the first stop are dropped.  A diverging run's norms may
     # overflow to inf, and a dropped step past the crossing to inf - inf:
-    # values, not faults.
+    # values, not faults.  A NaN made by a kept step is warned of below.
     with np.errstate(over="ignore", invalid="ignore"):
         while terminated is None:
             start = len(xs)
@@ -251,6 +252,12 @@ def solve(system: LinearSystem, weights=None, x0=None,
             resnorms.append(res)
     iterates = np.array(xs)
     residual_norms = np.concatenate(resnorms)
+    # A NaN in a kept iterate or residual reaches every later residual, so
+    # the last one shows whether a kept step made one.
+    if math.isnan(residual_norms[-1]):
+        first = int(np.isnan(residual_norms).argmax())
+        warnings.warn(f"invalid value encountered in solve: the residual is NaN "
+                      f"from step {first} on", RuntimeWarning, stacklevel=2)
     iterates.setflags(write=False)
     residual_norms.setflags(write=False)
 

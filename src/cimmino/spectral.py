@@ -102,14 +102,9 @@ def weighted_normal_matrix(system: LinearSystem, weights=None) -> np.ndarray:
     exactly symmetric (the product alone is not, to the last bit).
     """
     _, coef = system.coefficients(weights)
-    return _normal_matrix(system.matrix, coef)
-
-
-def _normal_matrix(a: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    # A^T diag(coef) A for coefficients already checked by
-    # LinearSystem.coefficients, upper triangle mirrored, read-only.
+    a = system.matrix
     b = a.T @ (coef[:, None] * a)
-    np.copyto(b, b.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
+    np.copyto(b, b.T, where=np.tri(system.n, k=-1, dtype=bool))
     b.setflags(write=False)
     return b
 
@@ -137,8 +132,8 @@ def analyze(system: LinearSystem, weights=None) -> SpectralReport:
     flags a numerically singular coefficient matrix, and ``ValueError`` when
     an eigenvalue overflows binary64.
     """
-    w, coef = system.coefficients(weights)
-    b = _normal_matrix(system.matrix, coef)
+    w, _ = system.coefficients(weights)
+    b = weighted_normal_matrix(system, w)
     lam = symmetric_eigen(b)
     if not np.isfinite(lam).all():
         raise ValueError(f"eigenvalues {lam.tolist()} of B overflow binary64")

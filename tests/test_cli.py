@@ -177,6 +177,21 @@ def test_solve_diverging_overflow_prints_no_warning(tmp_path, capsys):
     assert "termination: Diverged\niterations: 386\nfinal_residual: inf\n" in captured.out
 
 
+def test_solve_warns_when_a_kept_step_makes_a_nan(tmp_path, capsys):
+    # coef_0 * r_0 overflows and inf * 0 makes the first step NaN; the run
+    # carries NaN to the budget and warns once.
+    mat, vec = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_mm_array(mat, [[1e-150, 0.0], [0.0, 1.0]])
+    write_mm_vector(vec, [1e10, 1.0])
+    with pytest.warns(RuntimeWarning) as caught:
+        code = cli.main(["solve", "--matrix", str(mat), "--rhs", str(vec), "--max-iter", "40"])
+    assert [str(w.message) for w in caught] == [
+        "invalid value encountered in solve: the residual is NaN from step 1 on"]
+    assert code == 2
+    assert capsys.readouterr().out.endswith(
+        "termination: MaxIterations\niterations: 40\nfinal_residual: nan\nx: nan nan\n")
+
+
 def test_solve_overflowing_error_norms_print_no_warning(tmp_path, capsys):
     # Every error norm against this far-off reference is inf; inf/inf ratios
     # are undefined and written empty, without numpy's "invalid value" warning.
@@ -524,9 +539,6 @@ def test_benchmark_trace_points_resolve_and_record_each_layer_once(monkeypatch):
         system = cimmino.LinearSystem([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
         cimmino.analyze(system)
         cimmino.solve(system)
-        # analyze assembles B from the coefficients it has already checked,
-        # through a private helper, so only a direct call records this span.
-        cimmino.weighted_normal_matrix(system)
     finally:
         tracer.uninstall()
     assert tracer.absent == []

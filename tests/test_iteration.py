@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,27 @@ def test_solve_drops_the_overflowing_steps_after_a_mid_block_divergence():
         for _ in range(16 - 4):
             x = x + (coef * (system.rhs - system.matrix @ x)) @ system.matrix
     assert np.isnan(x).all()
+
+
+@pytest.mark.parametrize("max_iter", [1, 16, 17, 40])
+def test_solve_warns_once_where_the_step_by_step_loop_makes_a_nan(max_iter):
+    # coef_0 * r_0 = 1e310 overflows to inf, and inf * 0 in the product
+    # makes iterate 1 NaN.  The step-by-step loop warns there; solve, whose
+    # loop runs with invalid-value warnings off, must warn once too, from
+    # its caller's line, and keep the same iterates and decision.
+    system = LinearSystem([[1e-150, 0.0], [0.0, 1.0]], [1e10, 1.0])
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        iterates, resnorms, _, terminated = _reference_solve(system, max_iter=max_iter)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = solve(system, max_iter=max_iter)
+    assert [(str(w.message), w.category, w.filename) for w in caught] == [
+        ("invalid value encountered in solve: the residual is NaN from step 1 on",
+         RuntimeWarning, __file__)]
+    assert trace.terminated is terminated is Termination.MAX_ITERATIONS
+    assert trace.iterations == max_iter
+    np.testing.assert_array_equal(trace.iterates, iterates)
+    np.testing.assert_array_equal(trace.residual_norms, resnorms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 50])
