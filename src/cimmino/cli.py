@@ -145,18 +145,12 @@ def _cmd_sweep(args) -> int:
     thetas_deg = _parse_theta_grid(args.theta_grid)
     pairs = _parse_weight_pairs(args.weights)
     thetas_rad = np.radians(thetas_deg)
-    columns = [np.abs(np.cos(thetas_rad))]
-    names = ["unit"]
+    columns = [thetas_deg, np.abs(np.cos(thetas_rad))]
+    names = ["theta_deg", "unit"]
     for w1, w2 in pairs:
         columns.append(contraction_factor_2d(w1, w2, thetas_rad).rho)
         names.append(f"rho_{cio.format_float(w1)}_{cio.format_float(w2)}")
-    lines = ["theta_deg," + ",".join(names)]
-    for k in range(thetas_deg.size):
-        cells = [cio.format_float(thetas_deg[k])]
-        cells += [cio.format_float(col[k]) for col in columns]
-        lines.append(",".join(cells))
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cio.write_table_csv(names, columns, args.out)
     print(f"sweep: {thetas_deg.size} angles x {len(pairs)} weight pairs -> {args.out}")
     return EXIT_OK
 
@@ -167,11 +161,7 @@ def _cmd_envelope(args) -> int:
         raise ValueError(f"--steps: more than {cio.MAX_ENTRIES} rows, got {args.steps}")
     columns = [error_envelope(r, args.e0, args.steps) for r in rates]
     names = [f"rho_{cio.format_float(r)}" for r in rates]
-    lines = ["nu," + ",".join(names)]
-    for nu in range(args.steps + 1):
-        lines.append(",".join([str(nu)] + [cio.format_float(col[nu]) for col in columns]))
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cio.write_table_csv(["nu", *names], [np.arange(args.steps + 1), *columns], args.out)
     print(f"envelope: {len(rates)} rate(s) over {args.steps} steps -> {args.out}")
     overflows = [
         f"rho={cio.format_float(r)} from nu={np.argmax(np.isinf(col))}"

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import DimensionMismatchError, as_vector
 
 UNIT_NORM_TOL = 1e-14
 # Smallest normal binary64: a squared row norm below it has lost precision.
@@ -31,14 +31,10 @@ class Hyperplane:
     norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        normal = as_vector(self.normal)
+        normal, norm_sq = _row(self.normal)
         offset = float(self.offset)
         if not np.isfinite(offset):
             raise ValueError("hyperplane offset must be finite")
-        if not np.any(normal != 0.0):
-            raise ValueError("degenerate hyperplane row: zero normal")
-        with np.errstate(over="ignore"):
-            norm_sq = float(_row_norms_sq(normal[None, :])[0])
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "norm_sq", norm_sq)
@@ -61,6 +57,15 @@ def _row_norms_sq(a: np.ndarray) -> np.ndarray:
     return rn2
 
 
+def _row(values) -> tuple[np.ndarray, float]:
+    """``as_vector`` of a row and its squared norm, under ``LinearSystem``'s row rule."""
+    a = as_vector(values)
+    if not a.any():
+        raise ValueError("degenerate hyperplane row: zero normal")
+    with np.errstate(over="ignore"):
+        return a, float(_row_norms_sq(a[None, :])[0])
+
+
 @dataclass(frozen=True, eq=False)
 class UnitNormal:
     """Direction vector with unit Euclidean norm (within 1e-14)."""
@@ -69,7 +74,8 @@ class UnitNormal:
 
     def __post_init__(self):
         direction = as_vector(self.direction)
-        norm = float(np.sqrt(np.sum(direction * direction)))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            norm = math.sqrt(np.add.reduce(direction * direction))
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"direction norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
         object.__setattr__(self, "direction", direction)
@@ -78,13 +84,10 @@ class UnitNormal:
 def unit_normal(a) -> UnitNormal:
     """Normalize a row to unit length.
 
-    Raises on the zero vector, which would describe a degenerate hyperplane.
+    Raises on a row that ``LinearSystem`` refuses, such as the zero vector.
     """
-    a = as_vector(a)
-    norm = float(np.sqrt(np.sum(a * a)))
-    if norm == 0.0:
-        raise ValueError("degenerate hyperplane row: zero normal")
-    return UnitNormal(a / norm)
+    a, norm_sq = _row(a)
+    return UnitNormal(a / math.sqrt(norm_sq))
 
 
 def projection_matrix(u: UnitNormal) -> np.ndarray:
@@ -108,7 +111,7 @@ def reflect(x, plane: Hyperplane) -> np.ndarray:
     x = as_vector(x)
     a = plane.normal
     if x.size != a.size:
-        raise ValueError(f"point has dimension {x.size}, hyperplane {a.size}")
+        raise DimensionMismatchError(f"point has dimension {x.size}, hyperplane {a.size}")
     coef = 2.0 * (plane.offset - float(np.dot(a, x))) / plane.norm_sq
     return x + coef * a
 
@@ -118,15 +121,14 @@ def internormal_angle(a1, a2) -> float:
 
     The cosine is clamped to [-1, 1] before arccos so nearly parallel rows
     round to 0 or pi instead of NaN.  Those endpoint values describe a
-    singular system; spectral consumers reject them.
+    singular system; spectral consumers reject them.  Rows of different
+    lengths, or that ``LinearSystem`` refuses, are refused.
     """
-    a1 = as_vector(a1)
-    a2 = as_vector(a2)
-    n1 = math.sqrt(np.add.reduce(a1 * a1))
-    n2 = math.sqrt(np.add.reduce(a2 * a2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("degenerate hyperplane row: zero normal")
-    cos = float(np.dot(a1 / n1, a2 / n2))
+    a1, n1_sq = _row(a1)
+    a2, n2_sq = _row(a2)
+    if a1.size != a2.size:
+        raise DimensionMismatchError(f"rows have lengths {a1.size} and {a2.size}")
+    cos = float(np.dot(a1 / math.sqrt(n1_sq), a2 / math.sqrt(n2_sq)))
     return float(np.arccos(min(1.0, max(-1.0, cos))))
 
 

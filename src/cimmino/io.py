@@ -2,10 +2,10 @@
 
 Readers accept Matrix Market text files (``array`` and ``coordinate``
 formats, ``real`` field, ``general`` or ``symmetric`` storage).  Writers
-emit a CSV trace table and a JSON spectral report; both render floats as
-the shortest decimal string that round-trips to the same binary64 value
-(Python ``repr``), use ``\\n`` line endings, and are byte-for-byte
-reproducible for identical inputs.
+emit CSV tables (trace, sweep, envelope) and a JSON spectral report through
+one line writer; floats are the shortest decimal string that round-trips
+to the same binary64 value (Python ``repr``), lines end in ``\\n``, and
+the bytes are reproducible for identical inputs.
 """
 
 import json
@@ -200,7 +200,7 @@ def _refuse_first(mask: np.ndarray, reason: str, describe, path) -> None:
 def read_rhs_vector(path) -> np.ndarray:
     """Read a right-hand side stored as an n x 1 Matrix Market array file."""
     m = read_matrix_market(path)
-    if m.ndim != 2 or m.shape[1] != 1:
+    if m.shape[1] != 1:
         raise ValueError(
             f"{path}: right-hand side must be an n x 1 column vector, got {m.shape[0]}x{m.shape[1]}"
         )
@@ -215,7 +215,7 @@ def load_system(matrix_path, rhs_path) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV
+# CSV tables
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(trace: IterationTrace, path) -> None:
@@ -237,8 +237,20 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
             f"{nu},{res!r},{err!r},{'' if math.isnan(ratio) else repr(ratio)}"
             for nu, (res, err, ratio) in enumerate(zip(residuals, errors, ratios))
         ]
+    _write_lines(path, [TRACE_CSV_HEADER, *rows])
+
+
+def write_table_csv(names, columns, path) -> None:
+    """Write equal-length columns under the header ``names``; each cell is
+    the ``repr`` of a ``tolist()`` value, as in the trace CSV."""
+    cells = [np.asarray(column).tolist() for column in columns]
+    _write_lines(path, [",".join(names), *(",".join(map(repr, row)) for row in zip(*cells))])
+
+
+def _write_lines(path, lines) -> None:
+    """The one file writer: ``lines`` as ASCII text, each ending in a newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join([TRACE_CSV_HEADER, *rows]) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> list[tuple[int, float, float | None, float | None]]:
@@ -286,10 +298,7 @@ def report_document(report: SpectralReport) -> dict:
 
 def write_report_json(report: SpectralReport, path) -> None:
     """Serialize a report with stable field order and round-trip floats."""
-    # With indent set, dump and dumps share one encoder: same text, one write.
-    text = json.dumps(report_document(report), indent=2) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    _write_lines(path, [json.dumps(report_document(report), indent=2)])
 
 
 def read_report_json(path) -> SpectralReport:

@@ -70,8 +70,10 @@ class LinearSystem:
         return self.matrix.shape[0]
 
     def residual_norm(self, x) -> float:
-        r = self.rhs - self.matrix @ as_vector(x)
-        return math.sqrt(np.add.reduce(r * r))
+        """||b - A x||_2, ``inf`` when it overflows binary64."""
+        with np.errstate(over="ignore"):
+            r = self.rhs - self.matrix @ _sized(x, self.n, "x")
+            return math.sqrt(np.add.reduce(r * r))
 
     def coefficients(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (w, w_i / ||a_i||^2): the weights, all ones by default,

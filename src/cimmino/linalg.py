@@ -11,26 +11,25 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
 
 
+def _checked(values, ndim: int, kind: str) -> np.ndarray:
+    """Validate and freeze a finite float64 array with ``ndim`` nonzero dimensions."""
+    a = np.array(values, dtype=np.float64)
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"expected a {ndim}-D {kind}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{kind} entries must be finite")
+    a.setflags(write=False)
+    return a
+
+
 def as_vector(values) -> np.ndarray:
     """Validate and freeze a 1-D float64 vector (finite entries, length >= 1)."""
-    v = np.array(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    v.setflags(write=False)
-    return v
+    return _checked(values, 1, "vector")
 
 
 def as_matrix(values) -> np.ndarray:
     """Validate and freeze a 2-D float64 matrix (finite entries, >= 1x1)."""
-    m = np.array(values, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
+    return _checked(values, 2, "matrix")
 
 
 def symmetric_eigen(b) -> np.ndarray:

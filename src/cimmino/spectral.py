@@ -196,7 +196,8 @@ def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     ``theta`` is one angle or an array of angles; for an array, the fields
     that depend on it (theta, spread, eig_low, eig_high, rho) are arrays of
     its shape.  Each angle must lie strictly inside (0, pi): the endpoints
-    describe parallel normals and hence a singular matrix.
+    describe parallel normals and hence a singular matrix.  Weights whose
+    spread overflows binary64 are refused.
     """
     w1 = float(w1)
     w2 = float(w2)
@@ -214,7 +215,14 @@ def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     mean = 0.5 * (w1 + w2)
     half_diff = 0.5 * (w1 - w2)
     cos = np.cos(theta)
-    spread = np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
+    # Python's float ** raises where numpy's sum gives inf; both are refused.
+    with np.errstate(over="ignore"):
+        try:
+            spread = np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
+        except OverflowError:
+            spread = np.inf
+    if not np.isfinite(spread).all():
+        raise ValueError(f"weights ({w1!r}, {w2!r}): the 2x2 rate overflows binary64")
     if theta.ndim == 0:
         theta = float(theta)
         spread = float(spread)

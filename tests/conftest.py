@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cimmino import IterationTrace, LinearSystem
+from cimmino.io import format_float
 from cimmino.iteration import _aligned_ratios
 
 
@@ -73,3 +74,23 @@ def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None
         (nu, float(err), None if math.isnan(ratio) else float(ratio))
         for nu, (err, ratio) in enumerate(zip(trace.error_norms, ratios))
     ]
+
+
+def sweep_csv_text(thetas_deg, names, columns) -> str:
+    """The ``sweep`` CSV rendered cell by cell with ``format_float``: the
+    byte oracle of ``io.write_table_csv`` on a sweep."""
+    lines = ["theta_deg," + ",".join(names)]
+    for k in range(thetas_deg.size):
+        cells = [format_float(thetas_deg[k])]
+        cells += [format_float(col[k]) for col in columns]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def envelope_csv_text(steps, names, columns) -> str:
+    """The ``envelope`` CSV rendered cell by cell with ``format_float``:
+    the byte oracle of ``io.write_table_csv`` on an envelope."""
+    lines = ["nu," + ",".join(names)]
+    for nu in range(steps + 1):
+        lines.append(",".join([str(nu)] + [format_float(col[nu]) for col in columns]))
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,9 @@ import pytest
 from cimmino import cli
 from cimmino import io as cio
 
-from conftest import write_mm_array, write_mm_vector
+from cimmino.spectral import contraction_factor_2d, error_envelope
+
+from conftest import envelope_csv_text, sweep_csv_text, write_mm_array, write_mm_vector
 
 
 @pytest.fixture
@@ -364,9 +366,56 @@ def test_sweep_rejects_bad_pairs(tmp_path, capsys):
     assert "pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, weights", [
+    ("10:170:1", "1,1;1.4,1.4;0.5,1.5;0.2,0.2"),
+    ("45:45:1", "1,1"),
+    ("0.5:179.5:0.25", "0.05,3;1e-300,1e-300;3e153,1"),
+], ids=["paper-grid", "one-angle", "fine-grid-extreme-weights"])
+def test_sweep_csv_matches_the_cell_by_cell_oracle(tmp_path, capsys, grid, weights):
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--theta-grid", grid, "--weights", weights, "--out", str(out_path)]
+    assert cli.main(argv) == 0
+    thetas_deg = cli._parse_theta_grid(grid)
+    thetas = np.radians(thetas_deg)
+    pairs = cli._parse_weight_pairs(weights)
+    names = ["unit"] + [f"rho_{cio.format_float(w1)}_{cio.format_float(w2)}" for w1, w2 in pairs]
+    columns = [np.abs(np.cos(thetas))]
+    columns += [contraction_factor_2d(w1, w2, thetas).rho for w1, w2 in pairs]
+    assert out_path.read_bytes() == sweep_csv_text(thetas_deg, names, columns).encode("ascii")
+
+
+@pytest.mark.parametrize("weights", ["1e300,1", "1e200,1e200"])
+def test_sweep_refuses_weights_whose_rate_overflows(tmp_path, capsys, weights):
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--theta-grid", "10:170:80", "--weights", weights, "--out", str(out_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cimmino: error: ") and err.count("\n") == 1
+    assert "the 2x2 rate overflows binary64" in err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # envelope
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rho, e0, steps", [
+    ("0.9,0.5", "1", 12),
+    ("10,0.5", "1", 400),
+    ("0,0.5", "3", 5),
+    ("0.9,1.5", "0", 30),
+    ("0.9,1.5", "5e-324", 30),
+    ("0.9,1.5", "1e300", 30),
+], ids=["gap-12", "inf-cells", "rate-0", "e0-0", "e0-subnormal", "e0-1e300"])
+def test_envelope_csv_matches_the_cell_by_cell_oracle(tmp_path, capsys, rho, e0, steps):
+    out_path = tmp_path / "env.csv"
+    argv = ["envelope", "--rho", rho, "--e0", e0, "--steps", str(steps), "--out", str(out_path)]
+    assert cli.main(argv) == 0
+    rates = [float(r) for r in rho.split(",")]
+    columns = [error_envelope(r, float(e0), steps) for r in rates]
+    names = [f"rho_{cio.format_float(r)}" for r in rates]
+    assert out_path.read_bytes() == envelope_csv_text(steps, names, columns).encode("ascii")
+
 
 def test_envelope_halving_values(tmp_path, capsys):
     out_path = tmp_path / "env.csv"

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cimmino import (
+    DimensionMismatchError,
     Hyperplane,
+    UnitNormal,
     internormal_angle,
     masses_to_weights,
     projection_matrix,
@@ -172,6 +175,57 @@ def test_internormal_angle_parallel_rows_near_endpoints():
 def test_internormal_angle_zero_vector():
     with pytest.raises(ValueError):
         internormal_angle([0.0, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("a1, a2", [
+    ([1e200, 0.0], [1e200, 1e200]),
+    ([1.0, 0.0], [1e200, 1e200]),
+    ([1e-200, 0.0], [1.0, 0.0]),
+], ids=["both-overflow", "second-overflows", "underflows"])
+def test_internormal_angle_refuses_rows_that_linear_system_refuses(a1, a2):
+    # Normalized by an overflowed norm, the first pair (pi/4 apart) reads pi/2;
+    # the third's squared norm is 0, so it is not a zero row either.
+    with pytest.raises(ValueError, match="squared norm under/overflows binary64"):
+        internormal_angle(a1, a2)
+
+
+@pytest.mark.parametrize("make", [unit_normal, UnitNormal])
+def test_overflowing_row_is_refused_without_a_warning(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            make([1e200, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: internormal_angle([1.0, 0.0], [1.0, 1.0, 0.0]),
+    lambda: internormal_angle([1.0, 1.0, 0.0], [1.0, 0.0]),
+    lambda: reflect([1.0, 2.0, 3.0], Hyperplane([1.0, 0.0], 0.0)),
+], ids=["angle-2-3", "angle-3-2", "reflect"])
+def test_length_mismatch_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_helper_keeps_the_bits_of_the_norm_formulas(seed):
+    # References: the norms written out, as np.sqrt(np.sum(a * a)) for
+    # unit_normal and math.sqrt(np.add.reduce(a * a)) for the angle.
+    rng = np.random.default_rng(700 + seed)
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        a1, a2 = (rng.standard_normal(n) * 10.0 ** rng.uniform(-150.0, 150.0) for _ in range(2))
+        u1 = a1 / float(np.sqrt(np.sum(a1 * a1)))
+        assert np.array_equal(_bits(unit_normal(a1).direction), _bits(u1))
+        n1 = math.sqrt(np.add.reduce(a1 * a1))
+        n2 = math.sqrt(np.add.reduce(a2 * a2))
+        cos = float(np.dot(a1 / n1, a2 / n2))
+        angle = float(np.arccos(min(1.0, max(-1.0, cos))))
+        assert _bits(internormal_angle(a1, a2)) == _bits(angle)
 
 
 def test_masses_to_weights_equal_pair_gives_unit_weights():

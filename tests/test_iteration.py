@@ -54,6 +54,17 @@ def test_system_rejects_row_whose_squared_norm_overflows():
         LinearSystem([[1.0, 0.0], [1e160, 0.0]], [1.0, 2.0])
 
 
+def test_residual_norm_checks_the_length(example1):
+    with pytest.raises(DimensionMismatchError, match="x has length 3, system is 2"):
+        example1.residual_norm([1.0, 2.0, 3.0])
+
+
+def test_residual_norm_overflows_to_inf_without_a_warning(example1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert example1.residual_norm([1e200, 1e200]) == math.inf
+
+
 def test_system_rejects_rhs_whose_squared_norm_overflows():
     # ||b||_2 scales the stopping threshold; an infinite one passes any start.
     with pytest.raises(ValueError, match=r"rhs: squared norm overflows"):

@@ -193,6 +193,17 @@ def test_closed_form_rejects_endpoint_angles():
             contraction_factor_2d(1.0, 1.0, theta)
 
 
+@pytest.mark.parametrize("w1, w2", [(1e300, 1.0), (1e200, 1e200)])
+def test_closed_form_refuses_a_rate_it_cannot_form(w1, w2):
+    # (w1 - w2)**2 overflows (Python raises) on the first pair, and
+    # 4 w1 w2 cos^2 (numpy gives inf) on the second, whose rate is finite.
+    for theta in (1.0, np.radians([10.0, 90.0, 170.0])):
+        with pytest.raises(ValueError, match=r"the 2x2 rate overflows binary64"):
+            contraction_factor_2d(w1, w2, theta)
+    with pytest.raises(ValueError, match=r"the 2x2 rate overflows binary64"):
+        optimality_gap(w1, w2, 1.0)
+
+
 def test_closed_form_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         contraction_factor_2d(0.0, 1.0, 1.0)

@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Byte gate: run the standard CLI set at a git ref and in the working tree.
+
+Usage, from anywhere inside a source checkout:
+
+    python3 tools/byte_gate.py REF
+
+REF is checked out in a temporary ``git worktree``.  Each case below runs
+as ``python -m cimmino`` from that tree's ``src/`` and from the working
+tree's, each in its own empty directory, with BLAS pinned to one thread.
+Stdout, stderr, the exit code and every file the run writes are compared
+byte for byte; the path of the tree under test is replaced by ``<tree>``
+first, so a warning that names a source file compares equal.  Inputs are
+written once, by ``perfbench/inputs.py`` of the working tree, and shared.
+The worktree is removed at exit.  Exit status 0 when every case is
+identical, 1 when any differs.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from perfbench import inputs  # noqa: E402
+
+EXAMPLE1 = ([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+
+
+def write_inputs(d: Path) -> dict:
+    """Write the inputs of the standard set; returns name -> path or argument text."""
+    paths = {name: str(d / f"{name}.mtx") for name in ("A2", "b2", "A128", "A1000", "b1000")}
+    inputs.write_array(paths["A2"], np.array(EXAMPLE1[0]))
+    inputs.write_array(paths["b2"], np.array(EXAMPLE1[1])[:, None])
+    inputs.write_coordinate(paths["A128"], inputs.analyze_matrix(0, 0))
+    a, b, x_star, alpha, _ = inputs.solve_system(0, 0)
+    inputs.write_array(paths["A1000"], a)
+    inputs.write_array(paths["b1000"], b[:, None])
+    paths["alpha_weights"] = ",".join([repr(alpha)] * x_star.size)
+    paths["x_star"] = ",".join(map(repr, x_star.tolist()))
+    return paths
+
+
+def cases(p: dict) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every case; output paths are relative to the run directory."""
+    ex1 = ["--matrix", p["A2"], "--rhs", p["b2"]]
+    return [
+        *((f"demo-{name}", ["demo", name]) for name in ("example1", "example2", "figure1")),
+        ("sweep", ["sweep", "--theta-grid", "10:170:1",
+                   "--weights", "1,1;1.4,1.4;0.5,1.5;0.2,0.2", "--out", "sweep.csv"]),
+        ("envelope-12", ["envelope", "--rho", "0.9,0.5", "--steps", "12", "--out", "env.csv"]),
+        ("envelope-inf", ["envelope", "--rho", "10,0.5", "--steps", "400", "--out", "env.csv"]),
+        ("envelope-e0", ["envelope", "--rho", "0.9,1.5", "--e0", "1e300", "--steps", "30",
+                         "--out", "env.csv"]),
+        ("solve-example1", ["solve", *ex1, "--solution", "1,1", "--trace-out", "trace.csv"]),
+        ("analyze-example1", ["analyze", "--matrix", p["A2"], "--json-out", "report.json"]),
+        ("solve-diverges", ["solve", *ex1, "--weights", "2,2"]),
+        ("solve-budget", ["solve", *ex1, "--max-iter", "5", "--x0=4,-7"]),
+        ("analyze-n128", ["analyze", "--matrix", p["A128"], "--json-out", "report.json"]),
+        # "--opt=value": argparse would take a list starting with "-" for an option.
+        ("solve-n1000", ["solve", "--matrix", p["A1000"], "--rhs", p["b1000"],
+                         "--weights=" + p["alpha_weights"], "--solution=" + p["x_star"],
+                         "--trace-out", "trace.csv"]),
+    ]
+
+
+def run(tree: Path, argv: list[str], workdir: Path) -> tuple:
+    """(exit code, stdout, stderr, {file: bytes}) of one case in ``tree``."""
+    workdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "cimmino", *argv], cwd=workdir, env=env,
+                          capture_output=True)
+    tag = str(tree).encode()
+    files = {f.name: f.read_bytes() for f in sorted(workdir.iterdir())}
+    return (proc.returncode, proc.stdout.replace(tag, b"<tree>"),
+            proc.stderr.replace(tag, b"<tree>"), files)
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.strip().splitlines()[0], "\nusage: byte_gate.py REF", file=sys.stderr)
+        return 2
+    ref = sys.argv[1]
+    with tempfile.TemporaryDirectory(prefix="byte-gate-") as tmp:
+        tmp = Path(tmp)
+        worktree = tmp / "ref"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(worktree), ref], check=True)
+        try:
+            (tmp / "inputs").mkdir()
+            todo = cases(write_inputs(tmp / "inputs"))
+            differ = 0
+            for name, argv in todo:
+                old = run(worktree, argv, tmp / f"{name}-ref")
+                new = run(ROOT, argv, tmp / f"{name}-new")
+                parts = [what for what, a, b in zip(("exit code", "stdout", "stderr", "files"),
+                                                    old, new) if a != b]
+                differ += bool(parts)
+                print(f"{name}: exit {old[0]} -> {new[0]}, "
+                      + (f"DIFFERS in {', '.join(parts)}" if parts else "identical"))
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(worktree)], check=True)
+    print(f"{differ} of {len(todo)} cases differ from {ref}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
