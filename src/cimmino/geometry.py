@@ -31,24 +31,26 @@ class Hyperplane:
     norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        normal, norm_sq = _row(self.normal)
+        a, rn2 = _rows(self.normal)
         offset = float(self.offset)
         if not np.isfinite(offset):
             raise ValueError("hyperplane offset must be finite")
-        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "normal", a[0])
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "norm_sq", norm_sq)
+        object.__setattr__(self, "norm_sq", float(rn2[0]))
 
 
 def _row_norms_sq(a: np.ndarray) -> np.ndarray:
-    """Read-only squared norms of the rows of ``a``, sqrt-free so that
-    integer data stays exact.  Refuses a row whose squared norm is not a
-    normal, finite binary64 number: the step divides by it.
-
-    Call it with overflow ignored (``np.errstate(over="ignore")``): an
-    overflowing norm is inf, a value that this check refuses.
+    """Read-only squared norms of the rows of the 2-D array ``a``, sqrt-free
+    so that integer data stays exact: the one row rule.  Refuses a zero row,
+    and a row whose squared norm is not a normal, finite binary64 number (the
+    step divides by it), naming the rows by index.
     """
-    rn2 = np.add.reduce(a * a, axis=1)
+    zero = ~a.any(axis=1)
+    if zero.any():
+        raise ValueError(f"zero row(s) {zero.nonzero()[0].tolist()}: degenerate hyperplane row")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        rn2 = np.add.reduce(a * a, axis=1)
     out_of_range = ~((rn2 >= _TINY) & (rn2 < np.inf))
     if out_of_range.any():
         rows = out_of_range.nonzero()[0].tolist()
@@ -57,13 +59,24 @@ def _row_norms_sq(a: np.ndarray) -> np.ndarray:
     return rn2
 
 
-def _row(values) -> tuple[np.ndarray, float]:
-    """``as_vector`` of a row and its squared norm, under ``LinearSystem``'s row rule."""
-    a = as_vector(values)
-    if not a.any():
-        raise ValueError("degenerate hyperplane row: zero normal")
-    with np.errstate(over="ignore"):
-        return a, float(_row_norms_sq(a[None, :])[0])
+def _rows(*rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows, each ``as_vector``, as one read-only stack, and their
+    squared norms under the row rule; a refusal names a row by its position.
+    """
+    vectors = [as_vector(r) for r in rows]
+    sizes = [v.size for v in vectors]
+    if len(set(sizes)) > 1:
+        raise DimensionMismatchError(f"rows have lengths {' and '.join(map(str, sizes))}")
+    a = np.stack(vectors)
+    a.setflags(write=False)
+    return a, _row_norms_sq(a)
+
+
+def _angle(a: np.ndarray, rn2: np.ndarray) -> float:
+    """Angle between rows 0 and 1 of ``a``, whose squared norms are ``rn2``,
+    from the unit-normal cosine clamped to [-1, 1]."""
+    cos = float(np.dot(a[0] / math.sqrt(rn2[0]), a[1] / math.sqrt(rn2[1])))
+    return float(np.arccos(min(1.0, max(-1.0, cos))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +99,8 @@ def unit_normal(a) -> UnitNormal:
 
     Raises on a row that ``LinearSystem`` refuses, such as the zero vector.
     """
-    a, norm_sq = _row(a)
-    return UnitNormal(a / math.sqrt(norm_sq))
+    a, rn2 = _rows(a)
+    return UnitNormal(a[0] / math.sqrt(rn2[0]))
 
 
 def projection_matrix(u: UnitNormal) -> np.ndarray:
@@ -106,14 +119,18 @@ def reflect(x, plane: Hyperplane) -> np.ndarray:
 
     Q = x + 2 (b - <a, x>) / ||a||^2 * a.  Reflecting twice returns x, and
     the distance to every point on the plane (in particular a solution
-    lying on it) is preserved.
+    lying on it) is preserved.  An image past the float range is refused.
     """
     x = as_vector(x)
     a = plane.normal
     if x.size != a.size:
         raise DimensionMismatchError(f"point has dimension {x.size}, hyperplane {a.size}")
-    coef = 2.0 * (plane.offset - float(np.dot(a, x))) / plane.norm_sq
-    return x + coef * a
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+        coef = 2.0 * (plane.offset - float(np.dot(a, x))) / plane.norm_sq
+        q = x + coef * a
+    if not np.isfinite(q).all():
+        raise ValueError("mirror image overflows binary64")
+    return q
 
 
 def internormal_angle(a1, a2) -> float:
@@ -124,12 +141,7 @@ def internormal_angle(a1, a2) -> float:
     singular system; spectral consumers reject them.  Rows of different
     lengths, or that ``LinearSystem`` refuses, are refused.
     """
-    a1, n1_sq = _row(a1)
-    a2, n2_sq = _row(a2)
-    if a1.size != a2.size:
-        raise DimensionMismatchError(f"rows have lengths {a1.size} and {a2.size}")
-    cos = float(np.dot(a1 / math.sqrt(n1_sq), a2 / math.sqrt(n2_sq)))
-    return float(np.arccos(min(1.0, max(-1.0, cos))))
+    return _angle(*_rows(a1, a2))
 
 
 def masses_to_weights(masses) -> np.ndarray:

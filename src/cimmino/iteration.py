@@ -53,11 +53,8 @@ class LinearSystem:
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
         b = _sized(self.rhs, a.shape[0], "rhs")
-        zero = ~a.any(axis=1)
-        if zero.any():
-            raise ValueError(f"zero row(s) in matrix: {zero.nonzero()[0].tolist()}")
+        rn2 = _row_norms_sq(a)
         with np.errstate(over="ignore"):
-            rn2 = _row_norms_sq(a)
             bb = np.add.reduce(b * b)
         if bb == np.inf:
             raise ValueError("rhs: squared norm overflows binary64")

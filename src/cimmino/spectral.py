@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import internormal_angle
+from .geometry import _angle
 from .iteration import LinearSystem
 from .linalg import symmetric_eigen
 
@@ -145,7 +145,7 @@ def analyze(system: LinearSystem, weights=None) -> SpectralReport:
     kappa = lam_max / lam_min
     theta = None
     if system.n == 2:
-        theta = internormal_angle(system.matrix[0], system.matrix[1])
+        theta = _angle(system.matrix, system.row_norms_sq)
     return SpectralReport(
         n=system.n,
         weights=w,

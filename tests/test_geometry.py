@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from cimmino import (
     DimensionMismatchError,
     Hyperplane,
+    LinearSystem,
     UnitNormal,
     internormal_angle,
     masses_to_weights,
@@ -255,3 +257,52 @@ def test_masses_to_weights_rejects_nonpositive():
         masses_to_weights([1.0, -2.0])
     with pytest.raises(ValueError, match="finite sum"):
         masses_to_weights([1e308, 1e308])
+
+
+@pytest.mark.parametrize("a1, a2, row", [
+    ([1.0, 0.0], [1e200, 1e200], 1),
+    ([1e200, 1e200], [1.0, 0.0], 0),
+    ([1.0, 0.0], [1e-200, 0.0], 1),
+], ids=["second-overflows", "first-overflows", "second-underflows"])
+def test_internormal_angle_names_the_row_out_of_range(a1, a2, row):
+    with pytest.raises(ValueError, match=re.escape(f"row(s) [{row}]: squared norm")):
+        internormal_angle(a1, a2)
+
+
+@pytest.mark.parametrize("a1, a2, row", [
+    ([0.0, 0.0], [1.0, 0.0], 0),
+    ([1.0, 0.0], [0.0, 0.0], 1),
+], ids=["first", "second"])
+def test_internormal_angle_names_the_zero_row(a1, a2, row):
+    with pytest.raises(ValueError, match=re.escape(f"zero row(s) [{row}]")):
+        internormal_angle(a1, a2)
+
+
+def test_zero_row_refusal_is_one_message():
+    messages = []
+    for make in (lambda: LinearSystem([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+                 lambda: Hyperplane([0.0, 0.0], 0.0),
+                 lambda: unit_normal([0.0, 0.0]),
+                 lambda: internormal_angle([0.0, 0.0], [1.0, 0.0])):
+        with pytest.raises(ValueError) as err:
+            make()
+        messages.append(str(err.value))
+    assert messages[0] == "zero row(s) [1]: degenerate hyperplane row"
+    assert {re.sub(r"\[\d+\]", "[i]", m) for m in messages} == {
+        "zero row(s) [i]: degenerate hyperplane row"}
+
+
+@pytest.mark.parametrize("x, normal, offset", [
+    ([-1e308, 0.0], [1.0, 0.0], 1e308),
+    ([1.5e308, -1.5e308], [1.0, 1.0], 5e307),  # coefficient 5e307, image [inf, -1e308]
+], ids=["coefficient-overflows", "image-overflows"])
+def test_reflect_refuses_an_image_past_the_float_range(x, normal, offset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mirror image overflows binary64"):
+            reflect(x, Hyperplane(normal, offset))
+
+
+@pytest.mark.parametrize("normal", [[1.0, 2.0], np.array([3.0, -1.0, 0.5])])
+def test_hyperplane_normal_is_read_only(normal):
+    assert not Hyperplane(normal, 1.0).normal.flags.writeable

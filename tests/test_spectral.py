@@ -13,6 +13,7 @@ from cimmino import (
     classify_convergence,
     contraction_factor_2d,
     error_envelope,
+    internormal_angle,
     is_tight_frame,
     iteration_matrix,
     optimal_scaling,
@@ -415,3 +416,16 @@ def test_envelope_dominates_observed_errors():
         # dominance is asserted with that absolute allowance.
         floor = 64.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(xi))
         assert np.all(trace.error_norms <= bound * (1.0 + 1e-9) + floor)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_analyze_theta_keeps_the_bits_of_internormal_angle(seed):
+    # analyze reads theta from the rows LinearSystem checked; it must be the
+    # angle internormal_angle gives for the same rows, bit for bit.
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(500):
+        rows = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-75.0, 75.0, size=(2, 1))
+        system = LinearSystem(rows, rng.standard_normal(2))
+        theta = analyze(system).theta
+        assert np.float64(theta).view(np.uint64) == np.float64(
+            internormal_angle(*system.matrix)).view(np.uint64)

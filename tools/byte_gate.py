@@ -12,6 +12,8 @@ Stdout, stderr, the exit code and every file the run writes are compared
 byte for byte; the path of the tree under test is replaced by ``<tree>``
 first, so a warning that names a source file compares equal.  Inputs are
 written once, by ``perfbench/inputs.py`` of the working tree, and shared.
+The ``refuse-*`` cases give input that the program must refuse; one that
+does not exit 1 on both sides counts as differing.
 The worktree is removed at exit.  Exit status 0 when every case is
 identical, 1 when any differs.
 """
@@ -43,6 +45,11 @@ def write_inputs(d: Path) -> dict:
     inputs.write_array(paths["b1000"], b[:, None])
     paths["alpha_weights"] = ",".join([repr(alpha)] * x_star.size)
     paths["x_star"] = ",".join(map(repr, x_star.tolist()))
+    for name, rows in (("A2zero", [[1.0, 0.0], [0.0, 0.0]]), ("A2huge", [[1e160, 0.0], [0.0, 1.0]])):
+        paths[name] = str(d / f"{name}.mtx")
+        inputs.write_array(paths[name], np.array(rows))
+    paths["bad_header"] = str(d / "bad_header.mtx")
+    Path(paths["bad_header"]).write_text("%%MatrixMarket matrix table real general\n2 2\n1\n0\n0\n1\n")
     return paths
 
 
@@ -66,6 +73,10 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("solve-n1000", ["solve", "--matrix", p["A1000"], "--rhs", p["b1000"],
                          "--weights=" + p["alpha_weights"], "--solution=" + p["x_star"],
                          "--trace-out", "trace.csv"]),
+        ("refuse-zero-row", ["solve", "--matrix", p["A2zero"], "--rhs", p["b2"]]),
+        ("refuse-row-overflow", ["analyze", "--matrix", p["A2huge"]]),
+        ("refuse-weights", ["solve", *ex1, "--weights", "0,1"]),
+        ("refuse-header", ["analyze", "--matrix", p["bad_header"]]),
     ]
 
 
@@ -101,6 +112,8 @@ def main() -> int:
                 new = run(ROOT, argv, tmp / f"{name}-new")
                 parts = [what for what, a, b in zip(("exit code", "stdout", "stderr", "files"),
                                                     old, new) if a != b]
+                if name.startswith("refuse-") and not old[0] == new[0] == 1:
+                    parts.append("exit code (a refusal exits 1)")
                 differ += bool(parts)
                 print(f"{name}: exit {old[0]} -> {new[0]}, "
                       + (f"DIFFERS in {', '.join(parts)}" if parts else "identical"))
