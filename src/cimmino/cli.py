@@ -92,6 +92,12 @@ def _parse_theta_grid(text: str) -> np.ndarray:
     return start + step * np.arange(int(math.floor(span)) + 1)
 
 
+def _refuse_large_table(rows: int, what: str, columns: int, per: str) -> None:
+    # Checked before any column is computed: a table holds rows x columns values.
+    if rows * columns > cio.MAX_ENTRIES:
+        raise ValueError(f"more than {cio.MAX_ENTRIES} values: {rows} {what} x {columns} {per}")
+
+
 def _print_vector(label: str, values) -> None:
     print(f"{label}: " + " ".join(cio.format_float(v) for v in values))
 
@@ -144,6 +150,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     thetas_deg = _parse_theta_grid(args.theta_grid)
     pairs = _parse_weight_pairs(args.weights)
+    _refuse_large_table(thetas_deg.size, "angles", len(pairs), "weight pairs")
     thetas_rad = np.radians(thetas_deg)
     columns = [thetas_deg, np.abs(np.cos(thetas_rad))]
     names = ["theta_deg", "unit"]
@@ -157,8 +164,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_envelope(args) -> int:
     rates = [float(r) for r in _parse_floats(args.rho, "--rho")]
-    if args.steps >= cio.MAX_ENTRIES:
-        raise ValueError(f"--steps: more than {cio.MAX_ENTRIES} rows, got {args.steps}")
+    _refuse_large_table(args.steps + 1, "rows", len(rates), "rate(s)")
     columns = [error_envelope(r, args.e0, args.steps) for r in rates]
     names = [f"rho_{cio.format_float(r)}" for r in rates]
     cio.write_table_csv(["nu", *names], [np.arange(args.steps + 1), *columns], args.out)

@@ -14,18 +14,12 @@ import math
 import numpy as np
 
 from .iteration import IterationTrace, LinearSystem, _aligned_ratios
-from .spectral import ConvergenceClass, SpectralReport
+from .spectral import SpectralReport
 
 # Dense ingestion refuses anything above this many entries.
 MAX_ENTRIES = 1_000_000
 
 TRACE_CSV_HEADER = "iter,residual,error,ratio"
-
-REPORT_FIELD_ORDER = (
-    "n", "weights", "theta", "eigenvalues", "spectral_radius",
-    "condition_number", "class", "optimal_alpha", "optimal_scaled_rate",
-    "tight_frame",
-)
 
 
 class MatrixMarketError(ValueError):
@@ -253,29 +247,6 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path) -> list[tuple[int, float, float | None, float | None]]:
-    """Parse a trace CSV back into (iter, residual, error, ratio) rows."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 4:
-                raise ValueError(f"{path}: expected 4 cells, got {len(cells)}")
-            rows.append((
-                int(cells[0]),
-                float(cells[1]),
-                float(cells[2]) if cells[2] else None,
-                float(cells[3]) if cells[3] else None,
-            ))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Report JSON
 # ---------------------------------------------------------------------------
@@ -299,28 +270,3 @@ def report_document(report: SpectralReport) -> dict:
 def write_report_json(report: SpectralReport, path) -> None:
     """Serialize a report with stable field order and round-trip floats."""
     _write_lines(path, [json.dumps(report_document(report), indent=2)])
-
-
-def read_report_json(path) -> SpectralReport:
-    """Parse a report written by ``write_report_json``."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    missing = [key for key in REPORT_FIELD_ORDER if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: report is missing fields {missing}")
-    weights = np.array(doc["weights"], dtype=np.float64)
-    eigenvalues = np.array(doc["eigenvalues"], dtype=np.float64)
-    weights.setflags(write=False)
-    eigenvalues.setflags(write=False)
-    return SpectralReport(
-        n=int(doc["n"]),
-        weights=weights,
-        theta=None if doc["theta"] is None else float(doc["theta"]),
-        eigenvalues=eigenvalues,
-        spectral_radius=float(doc["spectral_radius"]),
-        condition_number=float(doc["condition_number"]),
-        convergence_class=ConvergenceClass(doc["class"]),
-        optimal_alpha=float(doc["optimal_alpha"]),
-        optimal_scaled_rate=float(doc["optimal_scaled_rate"]),
-        tight_frame=bool(doc["tight_frame"]),
-    )

@@ -140,12 +140,21 @@ def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     """One weighted simultaneous-reflection step in algebraic form.
 
     Returns x + sum_i w_i (b_i - <a_i, x>) / ||a_i||^2 * a_i, the row sum
-    taken as one vector-matrix product.
+    taken as one vector-matrix product.  A step past the float range is
+    refused.
     """
     x = _sized(x, system.n, "iterate")
     _, coef = system.coefficients(weights)
     a = system.matrix
-    return _step(a, x, coef, system.rhs - np.dot(a, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
+        return _finite_step(_step(a, x, coef, system.rhs - np.dot(a, x)))
+
+
+def _finite_step(step: np.ndarray) -> np.ndarray:
+    # cimmino_step and centroid_step refuse; solve stops at the sentinel instead.
+    if not np.isfinite(step).all():
+        raise ValueError("step overflows binary64")
+    return step
 
 
 def _step(a, x, coef, r) -> np.ndarray:
@@ -167,13 +176,15 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     Row i of the reflections is x + 2 (b_i - <a_i, x>) / ||a_i||^2 * a_i,
     the mirror image of x across {<a_i, x> = b_i}.  The masses are
     normalized before the product, so masses near the float maximum stay
-    finite.  Equals ``cimmino_step`` with weights ``masses_to_weights(masses)``.
+    finite.  Equals ``cimmino_step`` with weights ``masses_to_weights(masses)``,
+    and refuses a step past the float range as it does.
     """
     x = _sized(x, system.n, "iterate")
     m = _sized(masses, system.n, "masses")
     a = system.matrix
-    reflections = x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a
-    return (m / _mass_total(m)) @ reflections
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
+        reflections = x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a
+        return _finite_step((m / _mass_total(m)) @ reflections)
 
 
 def solve(system: LinearSystem, weights=None, x0=None,

@@ -36,9 +36,11 @@ def symmetric_eigen(b) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by LAPACK (``np.linalg.eigvalsh``).
 
     The input must be symmetric to within ``1e-12 * (1 + max|B|)`` per
-    entry; it is then symmetrized as B/2 + B^T/2 so rounding drift cannot
-    leak complex eigenvalues.  That is (B + B^T)/2 bit for bit while the
-    halves stay normal, and it cannot overflow near the float maximum.
+    entry.  LAPACK reads only the lower triangle, so the input is averaged
+    as B/2 + B^T/2 first: an asymmetry within that tolerance then counts
+    from both triangles.  That is (B + B^T)/2 bit for bit while the halves
+    stay normal, so an exactly symmetric B passes unchanged, and it cannot
+    overflow near the float maximum.
 
     Determinism contract: identical input under an identical BLAS thread
     setting gives bit-identical output.  Across thread counts the bits may

@@ -1,11 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cimmino import IterationTrace, LinearSystem
-from cimmino.io import format_float
+from cimmino.io import TRACE_CSV_HEADER, format_float
 from cimmino.iteration import _aligned_ratios
+from cimmino.spectral import ConvergenceClass, SpectralReport
+
+REPORT_FIELD_ORDER = (
+    "n", "weights", "theta", "eigenvalues", "spectral_radius",
+    "condition_number", "class", "optimal_alpha", "optimal_scaled_rate",
+    "tight_frame",
+)
 
 
 @pytest.fixture
@@ -94,3 +102,51 @@ def envelope_csv_text(steps, names, columns) -> str:
     for nu in range(steps + 1):
         lines.append(",".join([str(nu)] + [format_float(col[nu]) for col in columns]))
     return "\n".join(lines) + "\n"
+
+
+def read_trace_csv(path) -> list[tuple[int, float, float | None, float | None]]:
+    """Parse a trace CSV back into (iter, residual, error, ratio) rows."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != TRACE_CSV_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = []
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != 4:
+                raise ValueError(f"{path}: expected 4 cells, got {len(cells)}")
+            rows.append((
+                int(cells[0]),
+                float(cells[1]),
+                float(cells[2]) if cells[2] else None,
+                float(cells[3]) if cells[3] else None,
+            ))
+    return rows
+
+
+def read_report_json(path) -> SpectralReport:
+    """Parse a report written by ``write_report_json``."""
+    with open(path, "r", encoding="ascii") as fh:
+        doc = json.load(fh)
+    missing = [key for key in REPORT_FIELD_ORDER if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: report is missing fields {missing}")
+    weights = np.array(doc["weights"], dtype=np.float64)
+    eigenvalues = np.array(doc["eigenvalues"], dtype=np.float64)
+    weights.setflags(write=False)
+    eigenvalues.setflags(write=False)
+    return SpectralReport(
+        n=int(doc["n"]),
+        weights=weights,
+        theta=None if doc["theta"] is None else float(doc["theta"]),
+        eigenvalues=eigenvalues,
+        spectral_radius=float(doc["spectral_radius"]),
+        condition_number=float(doc["condition_number"]),
+        convergence_class=ConvergenceClass(doc["class"]),
+        optimal_alpha=float(doc["optimal_alpha"]),
+        optimal_scaled_rate=float(doc["optimal_scaled_rate"]),
+        tight_frame=bool(doc["tight_frame"]),
+    )

@@ -15,7 +15,10 @@ from cimmino import io as cio
 
 from cimmino.spectral import contraction_factor_2d, error_envelope
 
-from conftest import envelope_csv_text, sweep_csv_text, write_mm_array, write_mm_vector
+from conftest import (
+    envelope_csv_text, read_report_json, read_trace_csv, sweep_csv_text, write_mm_array,
+    write_mm_vector,
+)
 
 
 @pytest.fixture
@@ -78,7 +81,7 @@ def test_solve_takes_negative_list_as_separate_argument(example1_files, tmp_path
     ])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    rows = cio.read_trace_csv(trace_path)
+    rows = read_trace_csv(trace_path)
     if option == "--x0":
         # Residual of x0 = (-1, 2) against b = (3, 3): r = (3, 0).
         assert rows[0][1] == 3.0
@@ -121,7 +124,7 @@ def test_solve_writes_trace(example1_files, tmp_path, capsys):
         "--solution", "1,1", "--trace-out", str(trace_path),
     ])
     assert code == 0
-    rows = cio.read_trace_csv(trace_path)
+    rows = read_trace_csv(trace_path)
     assert rows[0][0] == 0
     assert rows[-1][2] is not None and rows[-1][2] <= 1e-8
 
@@ -237,7 +240,7 @@ def test_analyze_example1(example1_files, tmp_path, capsys):
     assert "class: Converges" in out
     assert "tight_frame: false" in out
     assert "theta_deg: " in out
-    report = cio.read_report_json(json_path)
+    report = read_report_json(json_path)
     assert report.spectral_radius == pytest.approx(0.8, abs=1e-12)
     assert report.optimal_alpha == pytest.approx(1.0, abs=1e-12)
 
@@ -527,6 +530,30 @@ def test_oversized_grids_are_refused_before_allocation(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(out_path)]) == 1
     assert "more than 1000000" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["envelope", "--rho", ",".join(["0.5"] * 1001), "--steps", "999"], "1000 rows x 1001 rate(s)"),
+    (["sweep", "--theta-grid", "1:179:0.0002", "--weights", "1,1;1,1"],
+     "890001 angles x 2 weight pairs"),
+], ids=["envelope-rates", "sweep-pairs"])
+def test_tables_of_more_than_a_million_values_are_refused(tmp_path, capsys, argv, counts):
+    # Each row is in range; each added rate or weight pair adds a column.
+    out_path = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"more than 1000000 values: {counts}" in err
+    assert not out_path.exists()
+
+
+def test_table_of_exactly_a_million_values_is_written(tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    assert cli.main(["envelope", "--rho", "0.5,0.9", "--steps", "499999",
+                     "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    with open(out_path, encoding="ascii") as fh:
+        assert fh.readline() == "nu,rho_0.5,rho_0.9\n"
+        assert sum(1 for _ in fh) == 500_000
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from cimmino import IterationTrace, LinearSystem, Termination, analyze, solve
 from cimmino import io as cio
 
-from conftest import error_sequence, write_mm_array, write_mm_vector
+from conftest import (
+    REPORT_FIELD_ORDER, error_sequence, read_report_json, read_trace_csv, write_mm_array,
+    write_mm_vector,
+)
 
 
 def _write(tmp_path, name, text):
@@ -303,7 +306,7 @@ def test_trace_csv_round_trip_bit_exact(tmp_path, example1):
     trace = solve(example1, known_solution=[1.0, 1.0])
     path = tmp_path / "trace.csv"
     cio.write_trace_csv(trace, path)
-    rows = cio.read_trace_csv(path)
+    rows = read_trace_csv(path)
     assert len(rows) == trace.iterates.shape[0]
     for nu, residual, error, ratio in rows:
         assert residual == trace.residual_norms[nu]
@@ -407,7 +410,7 @@ def test_report_json_golden_fields(tmp_path, example1):
     cio.write_report_json(report, path)
     text = path.read_text(encoding="ascii")
     doc = json.loads(text)
-    assert list(doc) == list(cio.REPORT_FIELD_ORDER)
+    assert list(doc) == list(REPORT_FIELD_ORDER)
     assert doc["n"] == 2
     assert doc["weights"] == [1.0, 1.0]
     assert doc["spectral_radius"] == report.spectral_radius
@@ -433,7 +436,7 @@ def test_report_json_round_trip(tmp_path):
     report = analyze(system, rng.uniform(0.3, 1.5, size=3))
     path = tmp_path / "report.json"
     cio.write_report_json(report, path)
-    back = cio.read_report_json(path)
+    back = read_report_json(path)
     assert back.n == report.n
     assert back.theta is None and report.theta is None
     assert np.array_equal(back.weights, report.weights)
@@ -459,7 +462,7 @@ def test_report_json_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2}', encoding="ascii")
     with pytest.raises(ValueError, match="missing fields"):
-        cio.read_report_json(path)
+        read_report_json(path)
 
 
 def test_format_float_shortest_round_trip():

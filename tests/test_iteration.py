@@ -166,6 +166,23 @@ def test_centroid_step_normalizes_masses_near_the_float_maximum(example1):
     assert np.max(np.abs(out - [1.8, 1.8])) <= 1e-15
 
 
+@pytest.mark.parametrize("step, x, weights", [
+    (cimmino_step, [-1e308, 0.0], [1.0, 1.0]),
+    (centroid_step, [-1e308, 0.0], [1.0, 1.0]),
+    (centroid_step, [8e307, 0.0], [8e307, 8e307]),
+], ids=["cimmino-step", "centroid-step", "centroid-step-large-masses"])
+def test_step_past_the_float_range_is_refused(example1, step, x, weights):
+    # These steps returned [inf, inf] or [-inf, -inf] with numpy overflow warnings.
+    with pytest.raises(ValueError, match="step overflows binary64"):
+        step(example1, x, weights)
+
+
+def test_solve_from_past_the_step_range_still_diverges(example1):
+    # solve does not refuse the step that cimmino_step refuses; it stops.
+    trace = solve(example1, x0=[-1e308, 0.0])
+    assert (trace.terminated, trace.iterations) == (Termination.DIVERGED, 0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("seed", range(3))
 def test_centroid_step_is_the_mean_of_the_row_reflections(seed, n):

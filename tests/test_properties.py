@@ -24,7 +24,10 @@ from cimmino import (
 )
 from cimmino import io as cio
 
-from conftest import error_sequence, random_nonsingular_system, system_at_angle
+from conftest import (
+    error_sequence, random_nonsingular_system, read_report_json, read_trace_csv,
+    system_at_angle,
+)
 
 # Fixed example sequence and no example database: the suite stays
 # deterministic and leaves no .hypothesis/ directory behind.
@@ -77,7 +80,7 @@ def test_step_ratio_views_agree_and_csv_round_trips(
 
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     cio.write_trace_csv(trace, path)
-    read = cio.read_trace_csv(path)
+    read = read_trace_csv(path)
     assert [(nu, res) for nu, res, _, _ in read] == list(enumerate(trace.residual_norms))
     assert [(nu, err, ratio) for nu, _, err, ratio in read] == rows
 
@@ -94,7 +97,7 @@ def test_report_json_round_trips_byte_stably(tmp_path_factory, seed, n, weights)
     first, second = directory / "first.json", directory / "second.json"
     report = analyze(system, weights[:n])
     cio.write_report_json(report, first)
-    read = cio.read_report_json(first)
+    read = read_report_json(first)
     cio.write_report_json(read, second)
     assert first.read_bytes() == second.read_bytes()
     for field in dataclasses.fields(report):

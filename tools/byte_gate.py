@@ -77,6 +77,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-row-overflow", ["analyze", "--matrix", p["A2huge"]]),
         ("refuse-weights", ["solve", *ex1, "--weights", "0,1"]),
         ("refuse-header", ["analyze", "--matrix", p["bad_header"]]),
+        # 1000 rows x 1001 rates: each row count is in range, the table is not.
+        ("refuse-table", ["envelope", "--rho", ",".join(["0.5"] * 1001), "--steps", "999",
+                          "--out", "env.csv"]),
     ]
 
 
