@@ -167,7 +167,7 @@ def _cmd_envelope(args) -> int:
     _refuse_large_table(args.steps + 1, "rows", len(rates), "rate(s)")
     columns = [error_envelope(r, args.e0, args.steps) for r in rates]
     names = [f"rho_{cio.format_float(r)}" for r in rates]
-    cio.write_table_csv(["nu", *names], [np.arange(args.steps + 1), *columns], args.out)
+    cio.write_table_csv(["nu", *names], [range(args.steps + 1), *columns], args.out)
     print(f"envelope: {len(rates)} rate(s) over {args.steps} steps -> {args.out}")
     overflows = [
         f"rho={cio.format_float(r)} from nu={np.argmax(np.isinf(col))}"

@@ -1,23 +1,25 @@
 """Deterministic file ingestion and emission.
 
 Readers accept Matrix Market text files (``array`` and ``coordinate``
-formats, ``real`` field, ``general`` or ``symmetric`` storage).  Writers
-emit CSV tables (trace, sweep, envelope) and a JSON spectral report through
-one line writer; floats are the shortest decimal string that round-trips
-to the same binary64 value (Python ``repr``), lines end in ``\\n``, and
-the bytes are reproducible for identical inputs.
+formats, ``real`` field, ``general`` or ``symmetric`` storage).  Every CSV
+(trace, sweep, envelope) is written by one table writer, a block of rows at
+a time, so that its memory beyond the columns is one block's; it and the
+JSON report writer share one line writer.  Floats are the shortest decimal
+string that round-trips to the same binary64 value (Python ``repr``), lines
+end in ``\\n``, and the bytes are reproducible for identical inputs.
 """
 
 import json
-import math
 
 import numpy as np
 
 from .iteration import IterationTrace, LinearSystem, _aligned_ratios
 from .spectral import SpectralReport
 
-# Dense ingestion refuses anything above this many entries.
+# The most entries a read matrix, or a CLI table, may hold.
 MAX_ENTRIES = 1_000_000
+# Rows that the CSV writer formats and writes at a time.
+CSV_BLOCK_ROWS = 4096
 
 TRACE_CSV_HEADER = "iter,residual,error,ratio"
 
@@ -213,38 +215,52 @@ def load_system(matrix_path, rhs_path) -> LinearSystem:
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(trace: IterationTrace, path) -> None:
-    """Write a trace as ``iter,residual,error,ratio`` rows.
-
+    """Write a trace as ``iter,residual,error,ratio`` rows, in iteration order.
     The error and ratio cells are empty when the trace has no recorded
-    solution; the ratio cell is also empty at step 0 and at steps whose
-    denominator underflowed.  Rows appear in iteration order and the final
-    line is newline-terminated.
-    """
-    # repr of a Python float is format_float; tolist() gives Python floats.
-    residuals = trace.residual_norms.tolist()
+    solution, and the ratio cell also at step 0 and where its denominator
+    underflowed."""
+    steps = trace.residual_norms.size
     if trace.error_norms is None:
-        rows = [f"{nu},{res!r},," for nu, res in enumerate(residuals)]
+        errors = ratios = np.broadcast_to("", steps)
     else:
-        errors = trace.error_norms.tolist()
-        ratios = _aligned_ratios(trace.error_norms).tolist()
-        rows = [
-            f"{nu},{res!r},{err!r},{'' if math.isnan(ratio) else repr(ratio)}"
-            for nu, (res, err, ratio) in enumerate(zip(residuals, errors, ratios))
-        ]
-    _write_lines(path, [TRACE_CSV_HEADER, *rows])
+        errors, ratios = trace.error_norms, _RatioCells(trace.error_norms)
+    write_table_csv(TRACE_CSV_HEADER.split(","),
+                    [range(steps), trace.residual_norms, errors, ratios], path)
+
+
+class _RatioCells:
+    """A trace's ratio column, a slice at a time: ``_aligned_ratios``, empty where NaN."""
+
+    def __init__(self, error_norms):
+        self.error_norms = error_norms
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start = max(rows.start - 1, 0)  # the slice's first ratio divides by the error before it
+        ratios = _aligned_ratios(self.error_norms[start:rows.stop])[rows.start - start:]
+        return np.where(np.isnan(ratios), "", ratios.astype(object))
 
 
 def write_table_csv(names, columns, path) -> None:
-    """Write equal-length columns under the header ``names``; each cell is
-    the ``repr`` of a ``tolist()`` value, as in the trace CSV."""
-    cells = [np.asarray(column).tolist() for column in columns]
-    _write_lines(path, [",".join(names), *(",".join(map(repr, row)) for row in zip(*cells))])
+    """Write equal-length columns under the header ``names``, ``CSV_BLOCK_ROWS``
+    rows at a time.  A column is anything whose slices ``np.asarray`` takes; a
+    cell is the ``str`` of a ``tolist()`` value (the ``repr`` of a float), and
+    an empty string stays empty."""
+    row = ",".join(["{}"] * len(names)).format
+
+    def blocks():
+        yield ",".join(names)
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            yield "\n".join(map(row, *(np.asarray(column[rows]).tolist() for column in columns)))
+
+    _write_lines(path, blocks())
 
 
-def _write_lines(path, lines) -> None:
-    """The one file writer: ``lines`` as ASCII text, each ending in a newline."""
+def _write_lines(path, blocks) -> None:
+    """The one file writer: each block of lines in turn, as ASCII text, then a newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for block in blocks:
+            fh.write(block + "\n")
 
 
 # ---------------------------------------------------------------------------

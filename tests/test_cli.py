@@ -373,7 +373,8 @@ def test_sweep_rejects_bad_pairs(tmp_path, capsys):
     ("10:170:1", "1,1;1.4,1.4;0.5,1.5;0.2,0.2"),
     ("45:45:1", "1,1"),
     ("0.5:179.5:0.25", "0.05,3;1e-300,1e-300;3e153,1"),
-], ids=["paper-grid", "one-angle", "fine-grid-extreme-weights"])
+    ("1:179:0.04", "1,1;0.5,1.5"),  # 4451 angles: more than one CSV block
+], ids=["paper-grid", "one-angle", "fine-grid-extreme-weights", "more-than-a-block"])
 def test_sweep_csv_matches_the_cell_by_cell_oracle(tmp_path, capsys, grid, weights):
     out_path = tmp_path / "sweep.csv"
     argv = ["sweep", "--theta-grid", grid, "--weights", weights, "--out", str(out_path)]
@@ -409,7 +410,10 @@ def test_sweep_refuses_weights_whose_rate_overflows(tmp_path, capsys, weights):
     ("0.9,1.5", "0", 30),
     ("0.9,1.5", "5e-324", 30),
     ("0.9,1.5", "1e300", 30),
-], ids=["gap-12", "inf-cells", "rate-0", "e0-0", "e0-subnormal", "e0-1e300"])
+    # --steps + 1 rows: one short of a CSV block, one block, one over, two blocks and one.
+    *(("0.999,0.5,1.5", "1", cio.CSV_BLOCK_ROWS + k) for k in (-2, -1, 0, cio.CSV_BLOCK_ROWS)),
+], ids=["gap-12", "inf-cells", "rate-0", "e0-0", "e0-subnormal", "e0-1e300",
+        "steps-B-2", "steps-B-1", "steps-B", "steps-2B"])
 def test_envelope_csv_matches_the_cell_by_cell_oracle(tmp_path, capsys, rho, e0, steps):
     out_path = tmp_path / "env.csv"
     argv = ["envelope", "--rho", rho, "--e0", e0, "--steps", str(steps), "--out", str(out_path)]

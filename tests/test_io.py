@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,12 +373,71 @@ _WRITER_TRACES = {
 }
 
 
+def _block_edge_trace(rows, with_solution):
+    """A ``rows``-row trace with NaN, inf, -0.0 and undefined ratios on the
+    first CSV block edge B; rows 2B-1 and 2B, when present, give a defined
+    ratio across the second edge."""
+    edge = cio.CSV_BLOCK_ROWS
+    residuals = 0.3 * 0.9993 ** np.arange(rows)
+    errors = 0.7 * 0.9991 ** np.arange(rows)
+    # Errors 0.0 and -0.0 leave the ratios at B-1 and B undefined; inf/inf at
+    # B+1, NaN/inf at B+2 and x/NaN at B+3 are undefined too.
+    specials = {edge - 2: (math.nan, 0.0), edge - 1: (math.inf, -0.0),
+                edge: (-0.0, math.inf), edge + 1: (5e-324, math.inf), edge + 2: (1.0, math.nan)}
+    for row, (residual, error) in specials.items():
+        if row < rows:
+            residuals[row], errors[row] = residual, error
+    return _trace_from(residuals, errors if with_solution else None)
+
+
+_WRITER_TRACES.update({
+    f"block-edge-{rows}-rows{suffix}": functools.partial(_block_edge_trace, rows, solved)
+    for rows in (cio.CSV_BLOCK_ROWS - 1, cio.CSV_BLOCK_ROWS, cio.CSV_BLOCK_ROWS + 1,
+                 2 * cio.CSV_BLOCK_ROWS + 1)
+    for suffix, solved in (("", True), ("-without-solution", False))
+})
+
+
 @pytest.mark.parametrize("case", sorted(_WRITER_TRACES))
 def test_trace_csv_matches_the_error_sequence_rendering(tmp_path, case):
     trace = _WRITER_TRACES[case]()
     path = tmp_path / "trace.csv"
     cio.write_trace_csv(trace, path)
     assert path.read_bytes() == _reference_trace_csv(trace).encode("ascii")
+
+
+# The writers hold one block of rows, a few hundred kB; a writer that holds
+# every row, as a whole-file join does, takes tens of MB here.
+_WRITER_PEAK_BOUND = 4_000_000
+
+
+def _memory_case(case):
+    rng = np.random.default_rng(17)
+    if case == "table-3x200000":
+        columns = [np.arange(200_000), rng.random(200_000), rng.random(200_000)]
+        return lambda path: cio.write_table_csv(["nu", "a", "b"], columns, path)
+    rows = 200_000 if case == "trace-200000" else 1000
+    trace = _trace_from(rng.random(rows), rng.random(rows))
+    return lambda path: cio.write_trace_csv(trace, path)
+
+
+@pytest.mark.parametrize("case", ["table-3x200000", "trace-200000", "trace-1000"])
+def test_csv_writer_peak_memory_is_one_block(tmp_path, case):
+    write = _memory_case(case)
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        write(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    if case == "trace-1000":
+        # One block is the whole file here, so the peak shows the text the
+        # writer forms: the measurement sees what a whole-file writer holds.
+        assert size <= peak < _WRITER_PEAK_BOUND
+    else:
+        assert peak < _WRITER_PEAK_BOUND < size / 2
 
 
 @pytest.mark.parametrize("weights", [None, [0.5, 1.5], [5e307, 5e307]])

@@ -48,6 +48,11 @@ def write_inputs(d: Path) -> dict:
     for name, rows in (("A2zero", [[1.0, 0.0], [0.0, 0.0]]), ("A2huge", [[1e160, 0.0], [0.0, 1.0]])):
         paths[name] = str(d / f"{name}.mtx")
         inputs.write_array(paths[name], np.array(rows))
+    # Rows 1 degree apart: rho = cos(1 deg), so a 20000-step run does not converge.
+    near = np.array([[1.0, 0.0], [np.cos(np.radians(1.0)), np.sin(np.radians(1.0))]])
+    paths["A2near"], paths["b2near"] = str(d / "A2near.mtx"), str(d / "b2near.mtx")
+    inputs.write_array(paths["A2near"], near)
+    inputs.write_array(paths["b2near"], (near @ np.ones(2))[:, None])
     paths["bad_header"] = str(d / "bad_header.mtx")
     Path(paths["bad_header"]).write_text("%%MatrixMarket matrix table real general\n2 2\n1\n0\n0\n1\n")
     return paths
@@ -60,11 +65,18 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         *((f"demo-{name}", ["demo", name]) for name in ("example1", "example2", "figure1")),
         ("sweep", ["sweep", "--theta-grid", "10:170:1",
                    "--weights", "1,1;1.4,1.4;0.5,1.5;0.2,0.2", "--out", "sweep.csv"]),
+        # 17,801 rows: the table crosses several CSV blocks.
+        ("sweep-fine", ["sweep", "--theta-grid", "1:179:0.01",
+                        "--weights", "1,1;1.4,1.4;0.5,1.5", "--out", "sweep.csv"]),
         ("envelope-12", ["envelope", "--rho", "0.9,0.5", "--steps", "12", "--out", "env.csv"]),
         ("envelope-inf", ["envelope", "--rho", "10,0.5", "--steps", "400", "--out", "env.csv"]),
         ("envelope-e0", ["envelope", "--rho", "0.9,1.5", "--e0", "1e300", "--steps", "30",
                          "--out", "env.csv"]),
         ("solve-example1", ["solve", *ex1, "--solution", "1,1", "--trace-out", "trace.csv"]),
+        # Exits 2 with a 20,001-row trace, across several CSV blocks.
+        ("solve-long-trace", ["solve", "--matrix", p["A2near"], "--rhs", p["b2near"],
+                              "--max-iter", "20000", "--solution", "1,1",
+                              "--trace-out", "trace.csv"]),
         ("analyze-example1", ["analyze", "--matrix", p["A2"], "--json-out", "report.json"]),
         ("solve-diverges", ["solve", *ex1, "--weights", "2,2"]),
         ("solve-budget", ["solve", *ex1, "--max-iter", "5", "--x0=4,-7"]),
