@@ -210,7 +210,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
         Relative residual tolerance, finite and > 0.
     max_iter : int
         Iteration budget, >= 1: at most floor(max_iter) steps are taken.  A
-        float is accepted, and ``math.inf`` sets no budget.
+        float is accepted, ``math.inf`` sets no budget, and NaN is refused.
     known_solution : array_like, optional
         When given, per-iterate error norms and step ratios are recorded.
 
@@ -220,7 +220,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
     """
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = system.n
     _, coef = system.coefficients(weights)
@@ -230,38 +230,39 @@ def solve(system: LinearSystem, weights=None, x0=None,
     a = system.matrix
     b = system.rhs
     stop_abs = residual_tol * (1.0 + math.sqrt(np.add.reduce(b * b)))
-    xs, resnorms = [], []
+    blocks = []
     x = x0
     terminated = None
-    # Steps run in blocks of up to _CHECK_BLOCK, and the residual and
-    # divergence tests run once per block on the block's stacked norms; the
-    # steps after the first stop are dropped.  A diverging run's norms may
-    # overflow to inf, and a dropped step past the crossing to inf - inf:
-    # values, not faults.  A NaN made by a kept step is warned of below.
+    # Steps run in blocks of up to _CHECK_BLOCK.  Each block's iterates are
+    # stacked once; the residual and divergence tests run on the block's
+    # stacked norms, and the steps after the first stop are cut off.  Every
+    # block but the last is full.  A diverging run's norms may overflow to
+    # inf, and a cut step past the crossing to inf - inf: values, not
+    # faults.  A NaN made by a kept step is warned of below.
     with np.errstate(over="ignore", invalid="ignore"):
         while terminated is None:
-            start = len(xs)
-            rs = []
+            done = len(blocks) * _CHECK_BLOCK
+            xs, rs = [], []
             for _ in range(_CHECK_BLOCK):
                 r = b - np.dot(a, x)
                 xs.append(x)
                 rs.append(r)
-                if len(xs) > max_iter:
+                if done + len(xs) > max_iter:
                     break
                 x = _step(a, x, coef, r)
+            xs = np.array(xs)
             res = _row_norms(np.array(rs))
             converged = res <= stop_abs
-            stops = converged | (_row_norms(np.array(xs[start:])) > DIVERGENCE_SENTINEL)
+            stops = converged | (_row_norms(xs) > DIVERGENCE_SENTINEL)
             k = int(stops.argmax())
             if stops[k]:
                 terminated = Termination.CONVERGED if converged[k] else Termination.DIVERGED
-                del xs[start + k + 1:]
-                res = res[:k + 1]
-            elif len(xs) > max_iter:
+                xs, res = xs[:k + 1], res[:k + 1]
+            elif done + len(xs) > max_iter:
                 terminated = Termination.MAX_ITERATIONS
-            resnorms.append(res)
-    iterates = np.array(xs)
-    residual_norms = np.concatenate(resnorms)
+            blocks.append((xs, res))
+    iterates, residual_norms = map(np.concatenate, zip(*blocks))
+    del blocks
     # A NaN in a kept iterate or residual reaches every later residual, so
     # the last one shows whether a kept step made one.
     if math.isnan(residual_norms[-1]):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -520,10 +521,31 @@ def test_solve_validates_arguments(example1):
         solve(example1, residual_tol=float("inf"))
     with pytest.raises(ValueError):
         solve(example1, max_iter=0)
+    with pytest.raises(ValueError):
+        solve(example1, max_iter=float("nan"))
     with pytest.raises(DimensionMismatchError):
         solve(example1, x0=[1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
         solve(example1, known_solution=[1.0])
+
+
+@pytest.mark.parametrize("known_solution", [[1.0, 1.0], None], ids=["solved", "unsolved"])
+def test_solve_peak_memory_is_a_small_multiple_of_its_trace(known_solution):
+    # Rows 0.2 degrees apart contract by cos(0.2 deg) per step, so 6000
+    # steps run out the budget.  Each block of 16 is stacked once; a loop
+    # that holds one array object per step until the end takes 7-8x.
+    c, s = math.cos(math.radians(0.2)), math.sin(math.radians(0.2))
+    system = LinearSystem([[1.0, 0.0], [c, s]], [1.0, c + s])
+    tracemalloc.start()
+    try:
+        trace = solve(system, max_iter=6000, known_solution=known_solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (trace.iterations, trace.terminated) == (6000, Termination.MAX_ITERATIONS)
+    returned = sum(v.nbytes for v in (trace.iterates, trace.residual_norms, trace.error_norms)
+                   if v is not None)
+    assert peak < 4 * returned
 
 
 def test_solve_zero_rhs_uses_relative_tolerance(figure1):

@@ -79,6 +79,10 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
                               "--trace-out", "trace.csv"]),
         ("analyze-example1", ["analyze", "--matrix", p["A2"], "--json-out", "report.json"]),
         ("solve-diverges", ["solve", *ex1, "--weights", "2,2"]),
+        # Exits 3; the iterate crosses 1e150 partway through a block, so the
+        # trace ends in a cut block.
+        ("solve-diverges-trace", ["solve", *ex1, "--weights", "2,2", "--solution", "1,1",
+                                  "--trace-out", "trace.csv"]),
         ("solve-budget", ["solve", *ex1, "--max-iter", "5", "--x0=4,-7"]),
         ("analyze-n128", ["analyze", "--matrix", p["A128"], "--json-out", "report.json"]),
         # "--opt=value": argparse would take a list starting with "-" for an option.
