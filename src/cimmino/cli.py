@@ -179,10 +179,8 @@ def _cmd_envelope(args) -> int:
     if len(rates) >= 2 and args.e0 > 0.0:
         slow, fast = max(rates), min(rates)
         if fast > 0.0:
-            try:
-                gap = (slow / fast) ** args.steps
-            except OverflowError:
-                gap = math.inf
+            with np.errstate(over="ignore"):
+                gap = np.float64(slow / fast) ** args.steps
             print(
                 f"final-step gap between rho={cio.format_float(slow)} and "
                 f"rho={cio.format_float(fast)}: ({cio.format_float(slow)}/"

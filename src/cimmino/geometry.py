@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_vector
+from .linalg import DimensionMismatchError, _finite, as_vector
 
 UNIT_NORM_TOL = 1e-14
 # Smallest normal binary64: a squared row norm below it has lost precision.
@@ -125,12 +125,9 @@ def reflect(x, plane: Hyperplane) -> np.ndarray:
     a = plane.normal
     if x.size != a.size:
         raise DimensionMismatchError(f"point has dimension {x.size}, hyperplane {a.size}")
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
         coef = 2.0 * (plane.offset - float(np.dot(a, x))) / plane.norm_sq
-        q = x + coef * a
-    if not np.isfinite(q).all():
-        raise ValueError("mirror image overflows binary64")
-    return q
+        return _finite(x + coef * a, "mirror image")
 
 
 def internormal_angle(a1, a2) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _mass_total, _row_norms_sq
-from .linalg import DimensionMismatchError, as_matrix, as_vector
+from .linalg import DimensionMismatchError, _finite, as_matrix, as_vector
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -55,9 +55,7 @@ class LinearSystem:
         b = _sized(self.rhs, a.shape[0], "rhs")
         rn2 = _row_norms_sq(a)
         with np.errstate(over="ignore"):
-            bb = np.add.reduce(b * b)
-        if bb == np.inf:
-            raise ValueError("rhs: squared norm overflows binary64")
+            _finite(np.add.reduce(b * b), "rhs: squared norm")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "row_norms_sq", rn2)
@@ -147,14 +145,7 @@ def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     _, coef = system.coefficients(weights)
     a = system.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
-        return _finite_step(_step(a, x, coef, system.rhs - np.dot(a, x)))
-
-
-def _finite_step(step: np.ndarray) -> np.ndarray:
-    # cimmino_step and centroid_step refuse; solve stops at the sentinel instead.
-    if not np.isfinite(step).all():
-        raise ValueError("step overflows binary64")
-    return step
+        return _finite(_step(a, x, coef, system.rhs - np.dot(a, x)), "step")
 
 
 def _step(a, x, coef, r) -> np.ndarray:
@@ -176,15 +167,15 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     Row i of the reflections is x + 2 (b_i - <a_i, x>) / ||a_i||^2 * a_i,
     the mirror image of x across {<a_i, x> = b_i}.  The masses are
     normalized before the product, so masses near the float maximum stay
-    finite.  Equals ``cimmino_step`` with weights ``masses_to_weights(masses)``,
-    and refuses a step past the float range as it does.
+    finite.  Equals ``cimmino_step`` at ``masses_to_weights(masses)``, but
+    refuses a reflection past the float range, even where that step is finite.
     """
     x = _sized(x, system.n, "iterate")
     m = _sized(masses, system.n, "masses")
     a = system.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
         reflections = x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a
-        return _finite_step((m / _mass_total(m)) @ reflections)
+        return _finite((m / _mass_total(m)) @ reflections, "step")
 
 
 def solve(system: LinearSystem, weights=None, x0=None,

@@ -22,6 +22,13 @@ def _checked(values, ndim: int, kind: str) -> np.ndarray:
     return a
 
 
+def _finite(values, what: str):
+    """``values`` when every entry is finite; otherwise "<what> overflows binary64"."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} overflows binary64")
+    return values
+
+
 def as_vector(values) -> np.ndarray:
     """Validate and freeze a 1-D float64 vector (finite entries, length >= 1)."""
     return _checked(values, 1, "vector")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import _angle
 from .iteration import LinearSystem
-from .linalg import symmetric_eigen
+from .linalg import _finite, symmetric_eigen
 
 # lambda_1 <= SINGULARITY_RATIO * lambda_n is treated as a singular matrix.
 SINGULARITY_RATIO = 1e-14
@@ -98,12 +98,13 @@ class TwoByTwoSpectrum:
 def weighted_normal_matrix(system: LinearSystem, weights=None) -> np.ndarray:
     """B = A^T D_w A = sum_i w_i P_i, assembled by one matrix product.
 
-    The upper triangle is mirrored into the lower one, so the result is
-    exactly symmetric (the product alone is not, to the last bit).
+    The upper triangle is mirrored into the lower, so B is exactly symmetric
+    (the product alone is not, to the last bit).  A B past binary64 is refused.
     """
     _, coef = system.coefficients(weights)
     a = system.matrix
-    b = a.T @ (coef[:, None] * a)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf: refused
+        b = _finite(a.T @ (coef[:, None] * a), "B = A^T D_w A")
     np.copyto(b, b.T, where=np.tri(system.n, k=-1, dtype=bool))
     b.setflags(write=False)
     return b
@@ -130,7 +131,7 @@ def analyze(system: LinearSystem, weights=None) -> SpectralReport:
 
     Raises ``SingularMatrixError`` when lambda_1 <= 1e-14 * lambda_n, which
     flags a numerically singular coefficient matrix, and ``ValueError`` when
-    an eigenvalue overflows binary64.
+    B or an eigenvalue overflows binary64.
     """
     w, _ = system.coefficients(weights)
     b = weighted_normal_matrix(system, w)
@@ -215,14 +216,10 @@ def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     mean = 0.5 * (w1 + w2)
     half_diff = 0.5 * (w1 - w2)
     cos = np.cos(theta)
-    # Python's float ** raises where numpy's sum gives inf; both are refused.
+    # numpy's scalar ** calls pow as Python's float ** does, but gives inf.
     with np.errstate(over="ignore"):
-        try:
-            spread = np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
-        except OverflowError:
-            spread = np.inf
-    if not np.isfinite(spread).all():
-        raise ValueError(f"weights ({w1!r}, {w2!r}): the 2x2 rate overflows binary64")
+        spread = np.sqrt(np.float64(w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
+    _finite(spread, f"weights ({w1!r}, {w2!r}): the 2x2 rate")
     if theta.ndim == 0:
         theta = float(theta)
         spread = float(spread)

@@ -286,6 +286,21 @@ def test_analyze_refuses_a_spectrum_past_the_float_range(tmp_path, capsys):
                             "of B overflow binary64\n")
 
 
+def test_analyze_refuses_a_normal_matrix_past_the_float_range(tmp_path, capsys):
+    # Before this refusal the matmul warned, and B = inf was refused as
+    # "matrix entries must be finite", although the input matrix is finite.
+    mat = tmp_path / "a.mtx"
+    write_mm_array(mat, [[1.0, 0.0], [1.0, 1e-10]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["analyze", "--matrix", str(mat), "--weights", "1e308,1e308"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "cimmino: error: B = A^T D_w A overflows binary64\n"
+
+
 def test_analyze_huge_finite_spectrum_still_reports_diverges(tmp_path, capsys):
     code = _analyze_example1(tmp_path, "--weights", "5e307,5e307")
     captured = capsys.readouterr()
@@ -367,6 +382,19 @@ def test_sweep_rejects_bad_pairs(tmp_path, capsys):
     ])
     assert code == 1
     assert "pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, weights, message", [
+    ("10:170:1", "1,1;", "--weights: empty list"),
+    ("10:170", "1,1", "--theta-grid: expected start:stop:step degrees, got '10:170'"),
+    ("a:170:1", "1,1", "--theta-grid: non-numeric bound in 'a:170:1'"),
+], ids=["empty-pair", "two-part-grid", "non-numeric-bound"])
+def test_sweep_refuses_malformed_options(tmp_path, capsys, grid, weights, message):
+    out_path = tmp_path / "s.csv"
+    argv = ["sweep", "--theta-grid", grid, "--weights", weights, "--out", str(out_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"cimmino: error: {message}\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("grid, weights", [

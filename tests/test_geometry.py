@@ -134,6 +134,12 @@ def test_hyperplane_refuses_rows_that_linear_system_refuses(normal):
         Hyperplane(normal, 1.0)
 
 
+@pytest.mark.parametrize("offset", [math.inf, math.nan])
+def test_hyperplane_refuses_a_non_finite_offset(offset):
+    with pytest.raises(ValueError, match="hyperplane offset must be finite"):
+        Hyperplane([1.0, 0.0], offset)
+
+
 def test_internormal_angle_orthogonal():
     assert internormal_angle([1.0, 0.0], [0.0, 1.0]) == pytest.approx(
         math.pi / 2.0, abs=1e-15

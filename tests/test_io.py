@@ -176,6 +176,18 @@ _SINGLE_FAULT = {
         "%%MatrixMarket matrix coordinate real symmetric\n2 2 4\n1 1 1\n",
         "malformed-size", "4 entries",
     ),
+    "object-vector": (
+        "%%MatrixMarket vector array real general\n2 1\n1\n2\n",
+        "malformed-header", "unsupported object 'vector'",
+    ),
+    "array-size-one-integer": (
+        "%%MatrixMarket matrix array real general\n2\n1\n2\n",
+        "malformed-size", "needs 2 integers, got 1",
+    ),
+    "array-size-zero-rows": (
+        "%%MatrixMarket matrix array real general\n0 2\n",
+        "malformed-size", "nonpositive dimensions [0, 2]",
+    ),
 }
 
 

@@ -58,6 +58,18 @@ def test_vectors_must_be_finite():
         as_matrix([[1.0, float("inf")], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("convert, values, message", [
+    (as_vector, [[1.0]], "expected a 1-D vector, got shape (1, 1)"),
+    (as_vector, [], "expected a 1-D vector, got shape (0,)"),
+    (as_matrix, [1.0, 2.0], "expected a 2-D matrix, got shape (2,)"),
+    (as_matrix, [[]], "expected a 2-D matrix, got shape (1, 0)"),
+], ids=["vector-2d", "vector-empty", "matrix-1d", "matrix-empty"])
+def test_shapes_are_checked(convert, values, message):
+    with pytest.raises(ValueError) as excinfo:
+        convert(values)
+    assert str(excinfo.value) == message
+
+
 # ---------------------------------------------------------------------------
 # symmetric_eigen
 # ---------------------------------------------------------------------------

@@ -95,6 +95,28 @@ def test_iteration_matrix_complements_normal_matrix(example1):
 # analyze
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("entry", [analyze, weighted_normal_matrix, iteration_matrix,
+                                   is_tight_frame])
+def test_normal_matrix_past_the_float_range_is_refused(entry):
+    # B_00 = 1e308 + 1e308 / (1 + 1e-20) overflows; is_tight_frame answered
+    # False on the inf matrix.
+    system = LinearSystem([[1.0, 0.0], [1.0, 1e-10]], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^B = A\^T D_w A overflows binary64$"):
+        entry(system, [1e308, 1e308])
+
+
+def test_normal_matrix_whose_partial_sums_overflow_both_ways_is_refused():
+    # B_01 sums +5e306 over the first half of the rows and -5e306 over the
+    # second; a blocked BLAS product can add +inf to -inf and warn of an
+    # invalid value rather than an overflow.  Either way B is refused.
+    n = 1024
+    a = np.zeros((n, n))
+    a[:, 0] = 1.0
+    a[:, 1] = np.repeat([1.0, -1.0], n // 2)
+    with pytest.raises(ValueError, match=r"^B = A\^T D_w A overflows binary64$"):
+        weighted_normal_matrix(LinearSystem(a, np.ones(n)), np.full(n, 1e307))
+
+
 def test_analyze_example1(example1):
     report = analyze(example1)
     assert abs(report.eigenvalues[0] - 0.2) <= 1e-12
@@ -196,7 +218,7 @@ def test_closed_form_rejects_endpoint_angles():
 
 @pytest.mark.parametrize("w1, w2", [(1e300, 1.0), (1e200, 1e200)])
 def test_closed_form_refuses_a_rate_it_cannot_form(w1, w2):
-    # (w1 - w2)**2 overflows (Python raises) on the first pair, and
+    # (w1 - w2)**2 overflows to inf on the first pair, and
     # 4 w1 w2 cos^2 (numpy gives inf) on the second, whose rate is finite.
     for theta in (1.0, np.radians([10.0, 90.0, 170.0])):
         with pytest.raises(ValueError, match=r"the 2x2 rate overflows binary64"):

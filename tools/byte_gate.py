@@ -45,7 +45,8 @@ def write_inputs(d: Path) -> dict:
     inputs.write_array(paths["b1000"], b[:, None])
     paths["alpha_weights"] = ",".join([repr(alpha)] * x_star.size)
     paths["x_star"] = ",".join(map(repr, x_star.tolist()))
-    for name, rows in (("A2zero", [[1.0, 0.0], [0.0, 0.0]]), ("A2huge", [[1e160, 0.0], [0.0, 1.0]])):
+    for name, rows in (("A2zero", [[1.0, 0.0], [0.0, 0.0]]), ("A2huge", [[1e160, 0.0], [0.0, 1.0]]),
+                       ("A2id", [[1.0, 0.0], [0.0, 1.0]]), ("b2huge", [[1e200], [1.0]])):
         paths[name] = str(d / f"{name}.mtx")
         inputs.write_array(paths[name], np.array(rows))
     # Rows 1 degree apart: rho = cos(1 deg), so a 20000-step run does not converge.
@@ -93,6 +94,10 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-row-overflow", ["analyze", "--matrix", p["A2huge"]]),
         ("refuse-weights", ["solve", *ex1, "--weights", "0,1"]),
         ("refuse-header", ["analyze", "--matrix", p["bad_header"]]),
+        # (w1 - w2)**2 passes the float range: the rate is refused.
+        ("refuse-sweep-rate", ["sweep", "--theta-grid", "10:170:1", "--weights", "1e300,1",
+                               "--out", "sweep.csv"]),
+        ("refuse-rhs-overflow", ["solve", "--matrix", p["A2id"], "--rhs", p["b2huge"]]),
         # 1000 rows x 1001 rates: each row count is in range, the table is not.
         ("refuse-table", ["envelope", "--rho", ",".join(["0.5"] * 1001), "--steps", "999",
                           "--out", "env.csv"]),
