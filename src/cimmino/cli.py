@@ -8,6 +8,7 @@ files or stdout.
 """
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -98,10 +99,6 @@ def _refuse_large_table(rows: int, what: str, columns: int, per: str) -> None:
         raise ValueError(f"more than {cio.MAX_ENTRIES} values: {rows} {what} x {columns} {per}")
 
 
-def _print_vector(label: str, values) -> None:
-    print(f"{label}: " + " ".join(cio.format_float(v) for v in values))
-
-
 def _cmd_solve(args) -> int:
     system = cio.load_system(args.matrix, args.rhs)
     weights = None if args.weights is None else _parse_floats(args.weights, "--weights")
@@ -118,7 +115,7 @@ def _cmd_solve(args) -> int:
     print(f"termination: {trace.terminated.value}")
     print(f"iterations: {trace.iterations}")
     print(f"final_residual: {cio.format_float(trace.residual_norms[-1])}")
-    _print_vector("x", trace.final)
+    print("x: " + " ".join(map(cio.format_float, trace.final)))
     if args.trace_out is not None:
         cio.write_trace_csv(trace, args.trace_out)
         print(f"trace written to {args.trace_out}", file=sys.stderr)
@@ -130,17 +127,15 @@ def _cmd_analyze(args) -> int:
     system = LinearSystem(matrix, np.zeros(matrix.shape[0]))
     weights = None if args.weights is None else _parse_floats(args.weights, "--weights")
     report = analyze(system, weights)
-    print(f"n: {report.n}")
-    _print_vector("weights", report.weights)
-    if report.theta is not None:
-        print(f"theta_deg: {cio.format_float(math.degrees(report.theta))}")
-    _print_vector("eigenvalues", report.eigenvalues)
-    print(f"spectral_radius: {cio.format_float(report.spectral_radius)}")
-    print(f"condition_number: {cio.format_float(report.condition_number)}")
-    print(f"class: {report.convergence_class.value}")
-    print(f"optimal_alpha: {cio.format_float(report.optimal_alpha)}")
-    print(f"optimal_scaled_rate: {cio.format_float(report.optimal_scaled_rate)}")
-    print(f"tight_frame: {'true' if report.tight_frame else 'false'}")
+    for key, value in cio.report_document(report).items():
+        if key == "theta":
+            if value is None:
+                continue
+            key, value = "theta_deg", math.degrees(value)
+        if isinstance(value, list):
+            value = " ".join(map(cio.format_float, value))
+        # A float prints as its repr, inf too (json.dumps would say Infinity).
+        print(f"{key}: {json.dumps(value) if isinstance(value, bool) else value}")
     if args.json_out is not None:
         cio.write_report_json(report, args.json_out)
         print(f"report written to {args.json_out}", file=sys.stderr)
@@ -198,60 +193,42 @@ def _cmd_envelope(args) -> int:
     return EXIT_OK
 
 
-class _DemoChecker:
-    def __init__(self):
-        self.failures = 0
-
-    def check(self, name: str, computed: float, expected: float, tol: float) -> None:
-        diff = abs(computed - expected)
-        ok = diff <= tol
-        if not ok:
-            self.failures += 1
-        print(
-            f"  {name}: expected {cio.format_float(expected)} "
-            f"computed {cio.format_float(computed)} |diff| {diff:.3e} "
-            f"tol {tol:.0e} -> {'PASS' if ok else 'FAIL'}"
-        )
-
-
-def _demo_example1(checker: _DemoChecker) -> None:
-    (rows, rhs) = _DEMO_EXAMPLE1
-    system = LinearSystem(np.array(rows), np.array(rhs))
+# Each demo prints its title and yields its checks as (name, computed, expected, tol).
+def _demo_example1():
+    system = LinearSystem(*_DEMO_EXAMPLE1)
     print("demo example1: 2x2 system with cos(theta) = 4/5")
     theta = internormal_angle(system.matrix[0], system.matrix[1])
-    checker.check("cos(theta)", math.cos(theta), 0.8, 1e-15)
+    yield "cos(theta)", math.cos(theta), 0.8, 1e-15
     report = analyze(system)
-    checker.check("eigenvalue_low", report.eigenvalues[0], 0.2, 1e-12)
-    checker.check("eigenvalue_high", report.eigenvalues[1], 1.8, 1e-12)
-    checker.check("spectral_radius", report.spectral_radius, 0.8, 1e-12)
+    yield "eigenvalue_low", report.eigenvalues[0], 0.2, 1e-12
+    yield "eigenvalue_high", report.eigenvalues[1], 1.8, 1e-12
+    yield "spectral_radius", report.spectral_radius, 0.8, 1e-12
     trace = solve(system, max_iter=200)
-    checker.check("solve_error", float(np.max(np.abs(trace.final - 1.0))), 0.0, 1e-8)
+    yield "solve_error", float(np.max(np.abs(trace.final - 1.0))), 0.0, 1e-8
 
 
-def _demo_example2(checker: _DemoChecker) -> None:
-    (rows, rhs) = _DEMO_EXAMPLE2
-    system = LinearSystem(np.array(rows), np.array(rhs))
+def _demo_example2():
+    system = LinearSystem(*_DEMO_EXAMPLE2)
     print("demo example2: orthogonal rows, single-step convergence")
     x1 = cimmino_step(system, np.array([3.0, -1.0]), np.ones(2))
-    checker.check("x1[0]", x1[0], 1.0, 1e-14)
-    checker.check("x1[1]", x1[1], 1.0, 1e-14)
+    yield "x1[0]", x1[0], 1.0, 1e-14
+    yield "x1[1]", x1[1], 1.0, 1e-14
     report = analyze(system)
-    checker.check("spectral_radius", report.spectral_radius, 0.0, 1e-15)
-    checker.check("tight_frame", 1.0 if report.tight_frame else 0.0, 1.0, 0.0)
+    yield "spectral_radius", report.spectral_radius, 0.0, 1e-15
+    yield "tight_frame", 1.0 if report.tight_frame else 0.0, 1.0, 0.0
 
 
-def _demo_figure1(checker: _DemoChecker) -> None:
-    (rows, rhs) = _DEMO_FIGURE1
-    system = LinearSystem(np.array(rows), np.array(rhs))
+def _demo_figure1():
+    system = LinearSystem(*_DEMO_FIGURE1)
     print("demo figure1: unit normals at 120 degrees, error halves each step")
     theta = internormal_angle(system.matrix[0], system.matrix[1])
-    checker.check("theta_deg", math.degrees(theta), 120.0, 1e-12)
+    yield "theta_deg", math.degrees(theta), 120.0, 1e-12
     trace = solve(
         system, x0=np.array([2.0, 0.0]), residual_tol=1e-300, max_iter=2,
         known_solution=np.zeros(2),
     )
     for nu, expected in enumerate((2.0, 1.0, 0.5)):
-        checker.check(f"error_norm[{nu}]", float(trace.error_norms[nu]), expected, 1e-12)
+        yield f"error_norm[{nu}]", float(trace.error_norms[nu]), expected, 1e-12
 
 
 _DEMOS = {
@@ -262,10 +239,18 @@ _DEMOS = {
 
 
 def _cmd_demo(args) -> int:
-    checker = _DemoChecker()
-    _DEMOS[args.name](checker)
-    if checker.failures:
-        print(f"demo {args.name}: {checker.failures} check(s) FAILED")
+    failures = 0
+    for name, computed, expected, tol in _DEMOS[args.name]():
+        diff = abs(computed - expected)
+        ok = diff <= tol
+        failures += not ok
+        print(
+            f"  {name}: expected {cio.format_float(expected)} "
+            f"computed {cio.format_float(computed)} |diff| {diff:.3e} "
+            f"tol {tol:.0e} -> {'PASS' if ok else 'FAIL'}"
+        )
+    if failures:
+        print(f"demo {args.name}: {failures} check(s) FAILED")
         return EXIT_ERROR
     print(f"demo {args.name}: all checks passed")
     return EXIT_OK

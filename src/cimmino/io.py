@@ -9,6 +9,7 @@ string that round-trips to the same binary64 value (Python ``repr``), lines
 end in ``\\n``, and the bytes are reproducible for identical inputs.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -121,13 +122,15 @@ def read_matrix_market(path) -> np.ndarray:
         if count > capacity:
             raise MatrixMarketError("malformed-size", f"{path}: {count} entries do not fit in "
                                     f"{rows}x{cols} {symmetry} storage")
-        tokens = fh.read().split()
+        expected = count if fmt == "array" else 3 * count
+        # At most one token past the declared count: the rest of the body.
+        tokens = fh.read().split(maxsplit=expected)
 
     # Both formats become (i, j, value) arrays, 0-based, in file order.
-    width = 1 if fmt == "array" else 3
-    if len(tokens) != width * count:
-        raise MatrixMarketError("size-mismatch", f"{path}: expected {width * count} tokens "
-                                f"for {count} entries, found {len(tokens)}")
+    if len(tokens) != expected:
+        found = len(tokens) if len(tokens) < expected else f"more than {expected}"
+        raise MatrixMarketError("size-mismatch", f"{path}: expected {expected} tokens "
+                                f"for {count} entries, found {found}")
     value_tokens = tokens
     if fmt == "coordinate":
         value_tokens = tokens[2::3]
@@ -268,19 +271,16 @@ def _write_lines(path, blocks) -> None:
 # ---------------------------------------------------------------------------
 
 def report_document(report: SpectralReport) -> dict:
-    """Key/value rendering of a report, in the fixed field order."""
-    return {
-        "n": report.n,
-        "weights": [float(w) for w in report.weights],
-        "theta": None if report.theta is None else float(report.theta),
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "spectral_radius": float(report.spectral_radius),
-        "condition_number": float(report.condition_number),
-        "class": report.convergence_class.value,
-        "optimal_alpha": float(report.optimal_alpha),
-        "optimal_scaled_rate": float(report.optimal_scaled_rate),
-        "tight_frame": bool(report.tight_frame),
-    }
+    """Key/value rendering of a report, its fields in declaration order: arrays
+    become lists, and ``convergence_class`` becomes ``"class"`` with its value."""
+    doc = {}
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if field.name == "convergence_class":
+            doc["class"] = value.value
+        else:
+            doc[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def write_report_json(report: SpectralReport, path) -> None:

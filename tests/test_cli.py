@@ -1,4 +1,6 @@
 import importlib
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,8 +18,8 @@ from cimmino import io as cio
 from cimmino.spectral import contraction_factor_2d, error_envelope
 
 from conftest import (
-    envelope_csv_text, read_report_json, read_trace_csv, sweep_csv_text, write_mm_array,
-    write_mm_vector,
+    REPORT_FIELD_ORDER, envelope_csv_text, read_report_json, read_trace_csv, sweep_csv_text,
+    write_mm_array, write_mm_vector,
 )
 
 
@@ -329,6 +331,40 @@ def test_analyze_deterministic_stdout(example1_files, capsys):
     assert first == second
 
 
+def _rendered(value) -> str:
+    """A report JSON value as ``analyze`` prints it."""
+    if isinstance(value, list):
+        return " ".join(repr(float(v)) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+@pytest.mark.parametrize("rows, options", [
+    ([[2.0, 1.0], [1.0, 2.0]], []),
+    ([[1.0, 0.0], [0.0, 1.0]], []),
+    ([[2.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 1.0, 3.0]], []),
+    # Eigenvalues near 1e-310 make optimal_alpha = 2/(l_1 + l_n) inf: stdout
+    # prints its repr "inf" where the JSON file says Infinity.
+    ([[2.0, 1.0], [1.0, 2.0]], ["--weights", "1e-310,1e-310"]),
+], ids=["example1", "identity2", "three", "example1-alpha-inf"])
+def test_analyze_stdout_is_the_json_report_line_by_line(tmp_path, capsys, rows, options):
+    mat = tmp_path / "a.mtx"
+    json_path = tmp_path / "report.json"
+    write_mm_array(mat, rows)
+    code = cli.main(["analyze", "--matrix", str(mat), *options, "--json-out", str(json_path)])
+    assert code == 0
+    with open(json_path, encoding="ascii") as fh:
+        doc = json.load(fh)
+    expected = []
+    for key in REPORT_FIELD_ORDER:
+        if key != "theta":
+            expected.append(f"{key}: {_rendered(doc[key])}")
+        elif len(rows) == 2:
+            expected.append(f"theta_deg: {_rendered(math.degrees(doc[key]))}")
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -599,6 +635,17 @@ def test_demo_passes(name, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+def test_demo_counts_a_failed_check_and_exits_1(monkeypatch, capsys):
+    # rhs (3, 4) moves the solution off (1, 1), so only solve_error fails.
+    monkeypatch.setattr(cli, "_DEMO_EXAMPLE1", (((2.0, 1.0), (1.0, 2.0)), (3.0, 4.0)))
+    code = cli.main(["demo", "example1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.endswith("FAIL")] == [lines[-2]]
+    assert lines[-2].startswith("  solve_error:")
+    assert lines[-1] == "demo example1: 1 check(s) FAILED"
 
 
 def test_demo_rejects_unknown_name(capsys):

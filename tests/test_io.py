@@ -212,6 +212,25 @@ def test_impossible_nnz_refused_before_body_is_read(tmp_path):
     assert excinfo.value.reason == "malformed-size"
 
 
+def test_over_long_body_is_refused_in_memory_near_its_size(tmp_path):
+    # The size line declares 2 entries (6 tokens); the body holds ~2 MB of
+    # them.  The reader splits off at most one token past the declared count,
+    # so the peak is about the body twice over, not one object per token.
+    path = _write(tmp_path, "long.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 2\n" + "1 1 1.0\n" * 250_000)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(cio.MatrixMarketError) as excinfo:
+            cio.read_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
+    assert excinfo.value.reason == "size-mismatch"
+    assert str(excinfo.value).endswith("expected 6 tokens for 2 entries, found more than 6")
+
+
 def test_python_float_syntax_accepted(tmp_path):
     path = _write(
         tmp_path, "a.mtx",

@@ -79,6 +79,11 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
                               "--max-iter", "20000", "--solution", "1,1",
                               "--trace-out", "trace.csv"]),
         ("analyze-example1", ["analyze", "--matrix", p["A2"], "--json-out", "report.json"]),
+        # Every value kind of the report: a list, a string, floats and a false boolean.
+        ("analyze-weights", ["analyze", "--matrix", p["A2"], "--weights", "2,2",
+                             "--json-out", "report.json"]),
+        # theta = 90 degrees, a zero rate and a true boolean.
+        ("analyze-identity", ["analyze", "--matrix", p["A2id"]]),
         ("solve-diverges", ["solve", *ex1, "--weights", "2,2"]),
         # Exits 3; the iterate crosses 1e150 partway through a block, so the
         # trace ends in a cut block.
