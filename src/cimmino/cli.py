@@ -134,7 +134,6 @@ def _cmd_analyze(args) -> int:
             key, value = "theta_deg", math.degrees(value)
         if isinstance(value, list):
             value = " ".join(map(cio.format_float, value))
-        # A float prints as its repr, inf too (json.dumps would say Infinity).
         print(f"{key}: {json.dumps(value) if isinstance(value, bool) else value}")
     if args.json_out is not None:
         cio.write_report_json(report, args.json_out)

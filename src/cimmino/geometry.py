@@ -10,11 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _finite, as_vector
+from .linalg import DimensionMismatchError, _finite, _normal, as_vector
 
 UNIT_NORM_TOL = 1e-14
-# Smallest normal binary64: a squared row norm below it has lost precision.
-_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +47,8 @@ def _row_norms_sq(a: np.ndarray) -> np.ndarray:
     zero = ~a.any(axis=1)
     if zero.any():
         raise ValueError(f"zero row(s) {zero.nonzero()[0].tolist()}: degenerate hyperplane row")
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
-        rn2 = np.add.reduce(a * a, axis=1)
-    out_of_range = ~((rn2 >= _TINY) & (rn2 < np.inf))
-    if out_of_range.any():
-        rows = out_of_range.nonzero()[0].tolist()
-        raise ValueError(f"row(s) {rows}: squared norm under/overflows binary64")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which _normal refuses
+        rn2 = _normal(np.add.reduce(a * a, axis=1), "row(s) {}: squared norm under/overflows binary64")
     rn2.setflags(write=False)
     return rn2
 

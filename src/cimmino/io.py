@@ -284,5 +284,5 @@ def report_document(report: SpectralReport) -> dict:
 
 
 def write_report_json(report: SpectralReport, path) -> None:
-    """Serialize a report with stable field order and round-trip floats."""
-    _write_lines(path, [json.dumps(report_document(report), indent=2)])
+    """Serialize a report: stable field order, round-trip floats, no inf or NaN."""
+    _write_lines(path, [json.dumps(report_document(report), indent=2, allow_nan=False)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _mass_total, _row_norms_sq
-from .linalg import DimensionMismatchError, _finite, as_matrix, as_vector
+from .linalg import _TINY, DimensionMismatchError, _finite, _normal, as_matrix, as_vector
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -27,6 +27,8 @@ _CHECK_BLOCK = 16
 DIVERGENCE_SENTINEL = 1e150
 # Error norms below this cannot safely divide a step ratio.
 RATIO_DENOMINATOR_FLOOR = 1e-300
+# The refusal of every weight path, the 2x2 closed form's included.
+_WEIGHT_FAULT = f"weight(s) {{}}: must be finite and positive, and at least {float(_TINY)!r}"
 
 
 class Termination(enum.Enum):
@@ -73,11 +75,10 @@ class LinearSystem:
     def coefficients(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (w, w_i / ||a_i||^2): the weights, all ones by default,
         and the diagonal of D_w in B = A^T D_w A.  Refuses weights that are
-        not n finite positive values and rows whose coefficient overflows.
+        not n values in [tiny, inf) and rows whose coefficient overflows.
         """
         w = np.ones(self.n) if weights is None else _sized(weights, self.n, "weights")
-        if (w <= 0.0).any():
-            raise ValueError("weights must all be positive")
+        _normal(w, _WEIGHT_FAULT)
         with np.errstate(over="ignore"):
             coef = w / self.row_norms_sq
         overflow = ~np.isfinite(coef)

@@ -5,6 +5,8 @@ import numpy as np
 
 # Relative asymmetry admitted before the eigensolver rejects its input.
 ASYMMETRY_TOL = 1e-12
+# Smallest normal binary64: a value below it has lost precision.
+_TINY = np.finfo(np.float64).tiny
 
 
 class DimensionMismatchError(ValueError):
@@ -26,6 +28,15 @@ def _finite(values, what: str):
     """``values`` when every entry is finite; otherwise "<what> overflows binary64"."""
     if not np.isfinite(values).all():
         raise ValueError(f"{what} overflows binary64")
+    return values
+
+
+def _normal(values, fault: str):
+    """``values`` when every entry lies in [tiny, inf), NaN failing too: the one
+    range rule for row norms and weights.  Else ``fault`` names the indices."""
+    out_of_range = ~((values >= _TINY) & (values < np.inf))
+    if out_of_range.any():
+        raise ValueError(fault.format(out_of_range.nonzero()[0].tolist()))
     return values
 
 

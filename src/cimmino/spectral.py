@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _angle
-from .iteration import LinearSystem
-from .linalg import _finite, symmetric_eigen
+from .iteration import _WEIGHT_FAULT, LinearSystem
+from .linalg import _finite, _normal, symmetric_eigen
 
 # lambda_1 <= SINGULARITY_RATIO * lambda_n is treated as a singular matrix.
 SINGULARITY_RATIO = 1e-14
@@ -197,13 +197,11 @@ def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     ``theta`` is one angle or an array of angles; for an array, the fields
     that depend on it (theta, spread, eig_low, eig_high, rho) are arrays of
     its shape.  Each angle must lie strictly inside (0, pi): the endpoints
-    describe parallel normals and hence a singular matrix.  Weights whose
-    spread overflows binary64 are refused.
+    describe parallel normals and hence a singular matrix.  The weights obey
+    the rule of ``LinearSystem.coefficients``, and weights whose spread
+    overflows binary64 are refused.
     """
-    w1 = float(w1)
-    w2 = float(w2)
-    if not (math.isfinite(w1) and w1 > 0.0) or not (math.isfinite(w2) and w2 > 0.0):
-        raise ValueError(f"weights must be finite and positive, got ({w1}, {w2})")
+    w1, w2 = _normal(np.array([w1, w2], dtype=np.float64), _WEIGHT_FAULT).tolist()
     theta = np.asarray(theta, dtype=np.float64)
     # NaN compares false, so it fails this test as well.
     inside = (theta >= THETA_ENDPOINT_TOL) & (theta <= math.pi - THETA_ENDPOINT_TOL)

@@ -344,10 +344,7 @@ def _rendered(value) -> str:
     ([[2.0, 1.0], [1.0, 2.0]], []),
     ([[1.0, 0.0], [0.0, 1.0]], []),
     ([[2.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 1.0, 3.0]], []),
-    # Eigenvalues near 1e-310 make optimal_alpha = 2/(l_1 + l_n) inf: stdout
-    # prints its repr "inf" where the JSON file says Infinity.
-    ([[2.0, 1.0], [1.0, 2.0]], ["--weights", "1e-310,1e-310"]),
-], ids=["example1", "identity2", "three", "example1-alpha-inf"])
+], ids=["example1", "identity2", "three"])
 def test_analyze_stdout_is_the_json_report_line_by_line(tmp_path, capsys, rows, options):
     mat = tmp_path / "a.mtx"
     json_path = tmp_path / "report.json"
@@ -363,6 +360,20 @@ def test_analyze_stdout_is_the_json_report_line_by_line(tmp_path, capsys, rows, 
         elif len(rows) == 2:
             expected.append(f"theta_deg: {_rendered(math.degrees(doc[key]))}")
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--matrix", "{mat}", "--weights", "1e-310,1e-310", "--json-out"],
+    ["sweep", "--theta-grid", "10:170:1", "--weights", "1e-310,1e-310", "--out"],
+], ids=["analyze", "sweep"])
+def test_subnormal_weights_are_refused_before_any_output(example1_files, tmp_path, capsys, argv):
+    # Below the normal range, analyze's 2/(l_1 + l_n) would overflow to inf.
+    mat, _ = example1_files
+    out_path = tmp_path / "out"
+    assert cli.main([arg.format(mat=mat) for arg in argv] + [str(out_path)]) == 1
+    assert capsys.readouterr() == ("", "cimmino: error: weight(s) [0, 1]: must be finite and "
+                                       "positive, and at least 2.2250738585072014e-308\n")
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

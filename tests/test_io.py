@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -548,6 +549,17 @@ def test_report_json_deterministic_bytes(tmp_path, example1):
     cio.write_report_json(report, p1)
     cio.write_report_json(report, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan], ids=["inf", "nan"])
+def test_report_json_refuses_a_non_finite_value_before_opening(tmp_path, example1, alpha):
+    # No analyze report holds one; the writer refuses it rather than write
+    # Infinity or NaN, which are not JSON.
+    report = dataclasses.replace(analyze(example1), optimal_alpha=alpha)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cio.write_report_json(report, path)
+    assert not path.exists()
 
 
 def test_report_json_rejects_missing_fields(tmp_path):

@@ -234,6 +234,42 @@ def test_closed_form_rejects_nonpositive_weights():
         contraction_factor_2d(1.0, -0.5, 1.0)
 
 
+_TINY = np.finfo(np.float64).tiny
+# Every weight path on a 2x2 system: the closed form and the paths through B.
+_WEIGHT_PATHS = {
+    "closed-form": lambda s, w: contraction_factor_2d(*w, internormal_angle(*s.matrix)),
+    "analyze": analyze,
+    "solve": lambda s, w: solve(s, weights=w, max_iter=10),
+    "cimmino_step": lambda s, w: cimmino_step(s, [0.0, 0.0], w),
+    "weighted_normal_matrix": weighted_normal_matrix,
+}
+
+
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (-1.0, 1.0), (1e-310, 1.0), (_TINY / 2, 1.0)],
+                         ids=["zero", "negative", "subnormal", "half-tiny"])
+def test_closed_form_and_eigen_paths_refuse_the_same_weights(example1, weights):
+    messages = set()
+    for call in _WEIGHT_PATHS.values():
+        with pytest.raises(ValueError) as excinfo:
+            call(example1, weights)
+        messages.add(str(excinfo.value))
+    assert messages == {
+        "weight(s) [0]: must be finite and positive, and at least 2.2250738585072014e-308"}
+
+
+def test_closed_form_and_eigen_paths_accept_the_smallest_normal_weights(example1):
+    weights = (_TINY, _TINY)
+    for call in _WEIGHT_PATHS.values():
+        call(example1, weights)
+    report = analyze(example1, weights)
+    # l_n >= mean(w) >= tiny, so 2/(l_1 + l_n) <= 2/tiny is finite.
+    assert np.isfinite(report.eigenvalues).all()
+    for value in (report.spectral_radius, report.condition_number,
+                  report.optimal_alpha, report.optimal_scaled_rate):
+        assert math.isfinite(value)
+    assert report.spectral_radius == _WEIGHT_PATHS["closed-form"](example1, weights).rho
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_matches_eigensolver_and_identities(seed):
     rng = np.random.default_rng(4000 + seed)

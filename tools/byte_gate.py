@@ -98,6 +98,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-zero-row", ["solve", "--matrix", p["A2zero"], "--rhs", p["b2"]]),
         ("refuse-row-overflow", ["analyze", "--matrix", p["A2huge"]]),
         ("refuse-weights", ["solve", *ex1, "--weights", "0,1"]),
+        # Subnormal weights: 2/(l_1 + l_n) would be inf, which JSON cannot hold.
+        ("refuse-weights-subnormal", ["analyze", "--matrix", p["A2"], "--weights", "1e-310,1e-310",
+                                      "--json-out", "report.json"]),
         ("refuse-header", ["analyze", "--matrix", p["bad_header"]]),
         # (w1 - w2)**2 passes the float range: the rate is refused.
         ("refuse-sweep-rate", ["sweep", "--theta-grid", "10:170:1", "--weights", "1e300,1",
