@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, _finite, _normal, as_vector
+from .linalg import _WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, as_vector
 
 UNIT_NORM_TOL = 1e-14
 
@@ -138,23 +138,19 @@ def internormal_angle(a1, a2) -> float:
 def masses_to_weights(masses) -> np.ndarray:
     """Convert centroid masses m_i > 0 into iteration weights w_i = 2 m_i / sum(m).
 
-    The weights always sum to 2; equal masses at n = 2 recover the standard
-    unit weights.
+    The weights sum to 2; equal masses at n = 2 recover the unit weights.
+    Refuses a nonpositive mass, masses whose sum overflows, and masses whose
+    weights the weight rule refuses (``[1e-310, 1]`` names weight [0]).
     """
     m = as_vector(masses)
-    # Halving the sum, not doubling m, keeps a mass near the float maximum finite.
-    w = m / (0.5 * _mass_total(m))
-    w.setflags(write=False)
-    return w
-
-
-def _mass_total(m: np.ndarray) -> float:
-    """sum(m) of positive masses; refuses a nonpositive mass and a sum
-    that overflows."""
+    # Before the ratio, which is positive when every mass is negative.
     if (m <= 0.0).any():
         raise ValueError("masses must all be positive")
     with np.errstate(over="ignore"):
         total = float(np.add.reduce(m))
     if total == math.inf:
         raise ValueError("masses must have a finite sum")
-    return total
+    # Dividing first keeps a mass near the float maximum finite.
+    w = _normal(2.0 * (m / total), _WEIGHT_FAULT)
+    w.setflags(write=False)
+    return w

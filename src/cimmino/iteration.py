@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _mass_total, _row_norms_sq
-from .linalg import _TINY, DimensionMismatchError, _finite, _normal, as_matrix, as_vector
+from .geometry import _row_norms_sq, masses_to_weights
+from .linalg import _WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, as_matrix, as_vector
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -27,8 +27,6 @@ _CHECK_BLOCK = 16
 DIVERGENCE_SENTINEL = 1e150
 # Error norms below this cannot safely divide a step ratio.
 RATIO_DENOMINATOR_FLOOR = 1e-300
-# The refusal of every weight path, the 2x2 closed form's included.
-_WEIGHT_FAULT = f"weight(s) {{}}: must be finite and positive, and at least {float(_TINY)!r}"
 
 
 class Termination(enum.Enum):
@@ -146,13 +144,13 @@ def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     _, coef = system.coefficients(weights)
     a = system.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
-        return _finite(_step(a, x, coef, system.rhs - np.dot(a, x)), "step")
+        return _finite(_step(a, x, coef, system.rhs - a.dot(x)), "step")
 
 
 def _step(a, x, coef, r) -> np.ndarray:
-    # The one step formula, shared by cimmino_step and the solve loop.
-    # np.dot makes the same gemv call as @, with less dispatch.
-    return x + np.dot(coef * r, a)
+    # The one step formula, shared by cimmino_step and the solve loop.  The
+    # ndarray method skips np.dot's __array_function__ dispatch, same gemv.
+    return x + (coef * r).dot(a)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -166,17 +164,17 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     """One step in geometric form: mass-weighted centroid of the reflections.
 
     Row i of the reflections is x + 2 (b_i - <a_i, x>) / ||a_i||^2 * a_i,
-    the mirror image of x across {<a_i, x> = b_i}.  The masses are
-    normalized before the product, so masses near the float maximum stay
-    finite.  Equals ``cimmino_step`` at ``masses_to_weights(masses)``, but
-    refuses a reflection past the float range, even where that step is finite.
+    the mirror image of x across {<a_i, x> = b_i}.  ``masses_to_weights``
+    refuses and normalizes the masses, so masses near the float maximum
+    stay finite.  Equals ``cimmino_step`` at those weights, but refuses a
+    reflection past the float range, even where that step is finite.
     """
     x = _sized(x, system.n, "iterate")
-    m = _sized(masses, system.n, "masses")
+    w = masses_to_weights(_sized(masses, system.n, "masses"))
     a = system.matrix
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
         reflections = x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a
-        return _finite((m / _mass_total(m)) @ reflections, "step")
+        return _finite((0.5 * w) @ reflections, "step")
 
 
 def solve(system: LinearSystem, weights=None, x0=None,
@@ -236,7 +234,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
             done = len(blocks) * _CHECK_BLOCK
             xs, rs = [], []
             for _ in range(_CHECK_BLOCK):
-                r = b - np.dot(a, x)
+                r = b - a.dot(x)
                 xs.append(x)
                 rs.append(r)
                 if done + len(xs) > max_iter:

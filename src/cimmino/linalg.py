@@ -7,6 +7,8 @@ import numpy as np
 ASYMMETRY_TOL = 1e-12
 # Smallest normal binary64: a value below it has lost precision.
 _TINY = np.finfo(np.float64).tiny
+# The refusal of every weight path: steps, masses and the 2x2 closed form.
+_WEIGHT_FAULT = f"weight(s) {{}}: must be finite and positive, and at least {float(_TINY)!r}"
 
 
 class DimensionMismatchError(ValueError):

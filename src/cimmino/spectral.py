@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _angle
-from .iteration import _WEIGHT_FAULT, LinearSystem
-from .linalg import _finite, _normal, symmetric_eigen
+from .iteration import LinearSystem
+from .linalg import _WEIGHT_FAULT, _finite, _normal, symmetric_eigen
 
 # lambda_1 <= SINGULARITY_RATIO * lambda_n is treated as a singular matrix.
 SINGULARITY_RATIO = 1e-14

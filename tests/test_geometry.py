@@ -265,6 +265,22 @@ def test_masses_to_weights_rejects_nonpositive():
         masses_to_weights([1e308, 1e308])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_masses_to_weights_keeps_the_bits_of_the_halved_sum(seed):
+    # Reference: m / (0.5 * sum(m)), exact wherever the half-sum is normal.
+    rng = np.random.default_rng(800 + seed)
+    checked = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        m = rng.uniform(0.1, 1.0, size=n) * 10.0 ** rng.uniform(-310.0, 307.0)
+        half = 0.5 * np.add.reduce(m)
+        if half < np.finfo(np.float64).tiny:
+            continue
+        assert np.array_equal(_bits(masses_to_weights(m)), _bits(m / half))
+        checked += 1
+    assert checked > 500
+
+
 @pytest.mark.parametrize("a1, a2, row", [
     ([1.0, 0.0], [1e200, 1e200], 1),
     ([1e200, 1e200], [1.0, 0.0], 0),

@@ -167,6 +167,44 @@ def test_centroid_step_normalizes_masses_near_the_float_maximum(example1):
     assert np.max(np.abs(out - [1.8, 1.8])) <= 1e-15
 
 
+_WEIGHT_MESSAGE = "weight(s) [0]: must be finite and positive, and at least 2.2250738585072014e-308"
+
+
+@pytest.mark.parametrize("masses, message", [
+    ([1e-310, 1.0], _WEIGHT_MESSAGE),
+    ([1e-200, 1e200], _WEIGHT_MESSAGE),
+    ([-1.0, -1.0], "masses must all be positive"),
+], ids=["subnormal-weight", "underflowed-weight", "all-negative"])
+def test_masses_are_refused_as_their_weights_are(example1, masses, message):
+    # Weights 2e-310 and 0.0 are refused as cimmino_step refuses them.
+    # All-negative masses give positive ratios, so their sign is checked first.
+    for call in (lambda: masses_to_weights(masses),
+                 lambda: centroid_step(example1, [0.0, 0.0], masses)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    # Subnormal masses whose weights are normal stay accepted.
+    assert np.array_equal(masses_to_weights([1e-310, 1e-310]), [1.0, 1.0])
+    assert np.array_equal(centroid_step(example1, [0.0, 0.0], [1e-310, 1e-310]),
+                          centroid_step(example1, [0.0, 0.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_centroid_step_is_the_normalized_mass_product_bit_for_bit(n):
+    # Reference: the reflections and the masses over their sum, written out.
+    rng = np.random.default_rng(5000 + n)
+    for scale in (1e-310, 1e-300, 1e-150, 1.0, 1e150, 8e307 / n):
+        for _ in range(20):
+            system = random_nonsingular_system(rng, n)
+            a, b = system.matrix, system.rhs
+            x = rng.standard_normal(n) * 3.0
+            m = rng.uniform(0.1, 1.0, size=n) * scale
+            reflections = x + (2.0 * (b - a @ x) / np.add.reduce(a * a, axis=1))[:, None] * a
+            expected = (m / np.add.reduce(m)) @ reflections
+            assert np.array_equal(centroid_step(system, x, m).view(np.int64),
+                                  expected.view(np.int64))
+
+
 @pytest.mark.parametrize("step, x, weights", [
     (cimmino_step, [-1e308, 0.0], [1.0, 1.0]),
     (centroid_step, [-1e308, 0.0], [1.0, 1.0]),
