@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, as_vector
+from .linalg import _WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, _sq_norms, as_vector
 
 UNIT_NORM_TOL = 1e-14
 
@@ -47,8 +47,7 @@ def _row_norms_sq(a: np.ndarray) -> np.ndarray:
     zero = ~a.any(axis=1)
     if zero.any():
         raise ValueError(f"zero row(s) {zero.nonzero()[0].tolist()}: degenerate hyperplane row")
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, which _normal refuses
-        rn2 = _normal(np.add.reduce(a * a, axis=1), "row(s) {}: squared norm under/overflows binary64")
+    rn2 = _normal(_sq_norms(a), "row(s) {}: squared norm under/overflows binary64")
     rn2.setflags(write=False)
     return rn2
 
@@ -81,8 +80,7 @@ class UnitNormal:
 
     def __post_init__(self):
         direction = as_vector(self.direction)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
-            norm = math.sqrt(np.add.reduce(direction * direction))
+        norm = math.sqrt(_sq_norms(direction))  # an overflowing norm is inf, refused below
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"direction norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
         object.__setattr__(self, "direction", direction)
@@ -119,9 +117,8 @@ def reflect(x, plane: Hyperplane) -> np.ndarray:
     a = plane.normal
     if x.size != a.size:
         raise DimensionMismatchError(f"point has dimension {x.size}, hyperplane {a.size}")
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
-        coef = 2.0 * (plane.offset - float(np.dot(a, x))) / plane.norm_sq
-        return _finite(x + coef * a, "mirror image")
+    return _finite(lambda: x + (2.0 * (plane.offset - float(np.dot(a, x))) / plane.norm_sq) * a,
+                   "mirror image")
 
 
 def internormal_angle(a1, a2) -> float:

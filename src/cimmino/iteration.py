@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _row_norms_sq, masses_to_weights
-from .linalg import _WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, as_matrix, as_vector
+from .linalg import (_WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, _sq_norms, as_matrix,
+                     as_vector)
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -54,8 +55,7 @@ class LinearSystem:
             raise DimensionMismatchError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
         b = _sized(self.rhs, a.shape[0], "rhs")
         rn2 = _row_norms_sq(a)
-        with np.errstate(over="ignore"):
-            _finite(np.add.reduce(b * b), "rhs: squared norm")
+        _finite(lambda: _sq_norms(b), "rhs: squared norm")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "row_norms_sq", rn2)
@@ -68,7 +68,7 @@ class LinearSystem:
         """||b - A x||_2, ``inf`` when it overflows binary64."""
         with np.errstate(over="ignore"):
             r = self.rhs - self.matrix @ _sized(x, self.n, "x")
-            return math.sqrt(np.add.reduce(r * r))
+        return math.sqrt(_sq_norms(r))
 
     def coefficients(self, weights=None) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (w, w_i / ||a_i||^2): the weights, all ones by default,
@@ -77,12 +77,7 @@ class LinearSystem:
         """
         w = np.ones(self.n) if weights is None else _sized(weights, self.n, "weights")
         _normal(w, _WEIGHT_FAULT)
-        with np.errstate(over="ignore"):
-            coef = w / self.row_norms_sq
-        overflow = ~np.isfinite(coef)
-        if overflow.any():
-            rows = overflow.nonzero()[0].tolist()
-            raise ValueError(f"row(s) {rows}: weight / squared norm overflows binary64")
+        coef = _finite(lambda: w / self.row_norms_sq, "row(s) {}: weight / squared norm")
         w.setflags(write=False)
         coef.setflags(write=False)
         return w, coef
@@ -143,21 +138,13 @@ def cimmino_step(system: LinearSystem, x, weights) -> np.ndarray:
     x = _sized(x, system.n, "iterate")
     _, coef = system.coefficients(weights)
     a = system.matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
-        return _finite(_step(a, x, coef, system.rhs - a.dot(x)), "step")
+    return _finite(lambda: _step(a, x, coef, system.rhs - a.dot(x)), "step")
 
 
 def _step(a, x, coef, r) -> np.ndarray:
     # The one step formula, shared by cimmino_step and the solve loop.  The
     # ndarray method skips np.dot's __array_function__ dispatch, same gemv.
     return x + (coef * r).dot(a)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # Row i's bits are those of math.sqrt(np.add.reduce(rows[i] * rows[i])) and
-    # of np.sqrt(np.sum(...)): the axis=1 reduce sums each row as the 1-D one
-    # does, and both square roots are correctly rounded.
-    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
@@ -172,9 +159,8 @@ def centroid_step(system: LinearSystem, x, masses) -> np.ndarray:
     x = _sized(x, system.n, "iterate")
     w = masses_to_weights(_sized(masses, system.n, "masses"))
     a = system.matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused
-        reflections = x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a
-        return _finite((0.5 * w) @ reflections, "step")
+    return _finite(lambda: (0.5 * w) @ (
+        x + (2.0 * (system.rhs - a @ x) / system.row_norms_sq)[:, None] * a), "step")
 
 
 def solve(system: LinearSystem, weights=None, x0=None,
@@ -219,7 +205,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
 
     a = system.matrix
     b = system.rhs
-    stop_abs = residual_tol * (1.0 + math.sqrt(np.add.reduce(b * b)))
+    stop_abs = residual_tol * (1.0 + math.sqrt(_sq_norms(b)))
     blocks = []
     x = x0
     terminated = None
@@ -241,9 +227,9 @@ def solve(system: LinearSystem, weights=None, x0=None,
                     break
                 x = _step(a, x, coef, r)
             xs = np.array(xs)
-            res = _row_norms(np.array(rs))
+            res = np.sqrt(_sq_norms(np.array(rs)))
             converged = res <= stop_abs
-            stops = converged | (_row_norms(xs) > DIVERGENCE_SENTINEL)
+            stops = converged | (np.sqrt(_sq_norms(xs)) > DIVERGENCE_SENTINEL)
             k = int(stops.argmax())
             if stops[k]:
                 terminated = Termination.CONVERGED if converged[k] else Termination.DIVERGED
@@ -265,7 +251,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
     error_norms = None
     if solution is not None:
         with np.errstate(over="ignore"):
-            error_norms = _row_norms(iterates - solution)
+            error_norms = np.sqrt(_sq_norms(iterates - solution))
         error_norms.setflags(write=False)
 
     return IterationTrace(

@@ -26,11 +26,22 @@ def _checked(values, ndim: int, kind: str) -> np.ndarray:
     return a
 
 
-def _finite(values, what: str):
-    """``values`` when every entry is finite; otherwise "<what> overflows binary64"."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} overflows binary64")
+def _finite(form, what: str):
+    """``form()``, formed without numpy's overflow and invalid warnings, when every
+    entry is finite; else "<what> overflows binary64", a ``{}`` in ``what`` naming them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = form()
+    fault = ~np.isfinite(values)
+    if fault.any():
+        raise ValueError(f"{what.format(np.flatnonzero(fault).tolist())} overflows binary64")
     return values
+
+
+def _sq_norms(values):
+    """Squared norms along the last axis, ``inf`` past binary64 without a
+    warning.  A row of a stack gets the bits of that row alone."""
+    with np.errstate(over="ignore"):
+        return np.add.reduce(values * values, axis=-1)
 
 
 def _normal(values, fault: str):
@@ -79,6 +90,8 @@ def symmetric_eigen(b) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        When an eigenvalue passes binary64.
     numpy.linalg.LinAlgError
         When LAPACK fails to converge (a ``ValueError`` subclass).
     """
@@ -96,5 +109,7 @@ def symmetric_eigen(b) -> np.ndarray:
             f"exceeds {ASYMMETRY_TOL * scale:.3e}"
         )
     eigenvalues = np.linalg.eigvalsh(b / 2.0 + b.T / 2.0)
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError(f"eigenvalues {eigenvalues.tolist()} of B overflow binary64")
     eigenvalues.setflags(write=False)
     return eigenvalues

@@ -103,8 +103,7 @@ def weighted_normal_matrix(system: LinearSystem, weights=None) -> np.ndarray:
     """
     _, coef = system.coefficients(weights)
     a = system.matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf: refused
-        b = _finite(a.T @ (coef[:, None] * a), "B = A^T D_w A")
+    b = _finite(lambda: a.T @ (coef[:, None] * a), "B = A^T D_w A")
     np.copyto(b, b.T, where=np.tri(system.n, k=-1, dtype=bool))
     b.setflags(write=False)
     return b
@@ -131,19 +130,20 @@ def analyze(system: LinearSystem, weights=None) -> SpectralReport:
 
     Raises ``SingularMatrixError`` when lambda_1 <= 1e-14 * lambda_n, which
     flags a numerically singular coefficient matrix, and ``ValueError`` when
-    B or an eigenvalue overflows binary64.
+    B or, through ``symmetric_eigen``, an eigenvalue overflows binary64.
     """
     w, _ = system.coefficients(weights)
     b = weighted_normal_matrix(system, w)
     lam = symmetric_eigen(b)
-    if not np.isfinite(lam).all():
-        raise ValueError(f"eigenvalues {lam.tolist()} of B overflow binary64")
     lam_min = float(lam[0])
     lam_max = float(lam[-1])
     if lam_min <= SINGULARITY_RATIO * lam_max:
         raise SingularMatrixError(lam_min, lam_max)
     rho = max(abs(1.0 - lam_min), abs(1.0 - lam_max))
     kappa = lam_max / lam_min
+    # 2/(l_1 + l_n) from the halves when l_n > 1, where l_1 > 1e-14 makes them
+    # exact: the same bits where the sum is finite, and finite where it is not.
+    alpha = 1.0 / (0.5 * lam_min + 0.5 * lam_max) if lam_max > 1.0 else 2.0 / (lam_min + lam_max)
     theta = None
     if system.n == 2:
         theta = _angle(system.matrix, system.row_norms_sq)
@@ -155,7 +155,7 @@ def analyze(system: LinearSystem, weights=None) -> SpectralReport:
         spectral_radius=rho,
         condition_number=kappa,
         convergence_class=_classify(rho),
-        optimal_alpha=2.0 / (lam_min + lam_max),
+        optimal_alpha=alpha,
         optimal_scaled_rate=(kappa - 1.0) / (kappa + 1.0),
         tight_frame=_is_identity(b, DEFAULT_TIGHT_FRAME_TOL),
     )
@@ -215,9 +215,8 @@ def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     half_diff = 0.5 * (w1 - w2)
     cos = np.cos(theta)
     # numpy's scalar ** calls pow as Python's float ** does, but gives inf.
-    with np.errstate(over="ignore"):
-        spread = np.sqrt(np.float64(w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos)
-    _finite(spread, f"weights ({w1!r}, {w2!r}): the 2x2 rate")
+    spread = _finite(lambda: np.sqrt(np.float64(w1 - w2) ** 2 + 4.0 * w1 * w2 * cos * cos),
+                     f"weights ({w1!r}, {w2!r}): the 2x2 rate")
     if theta.ndim == 0:
         theta = float(theta)
         spread = float(spread)
@@ -250,10 +249,12 @@ def error_envelope(rho: float, initial_error: float, steps: int) -> np.ndarray:
     The envelope is attained asymptotically when the starting error has a
     component along a dominant eigenvector of the iteration matrix.  Values
     past the float range are ``inf``, without a warning; a zero initial
-    error gives zeros at every step.
+    error gives zeros at every step.  ``steps`` may be an integral float.
     """
     rho = float(rho)
     initial_error = float(initial_error)
+    if not float(steps).is_integer():
+        raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     steps = int(steps)
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and nonnegative, got {rho}")

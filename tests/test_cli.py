@@ -163,7 +163,9 @@ def _solve_warning_free(tmp_path, matrix, rhs, *options):
     ([[2e-154, 0.0], [0.0, 1.0]], [1.0, 1.0], ["--weights", "10,1"],
      "row(s) [0]: weight / squared norm overflows binary64"),
     ([[1.0, 0.0], [0.0, 1.0]], [1e200, 1.0], [], "rhs: squared norm overflows binary64"),
-], ids=["step-coefficient", "rhs"])
+    ([[2e-154, 0.0], [0.0, 2e-154]], [1.0, 1.0], ["--weights", "10,10"],
+     "row(s) [0, 1]: weight / squared norm overflows binary64"),
+], ids=["step-coefficient", "rhs", "step-coefficient-two-rows"])
 def test_solve_refuses_overflowing_input(tmp_path, capsys, matrix, rhs, options, message):
     # Before these refusals the first warned and ran NaN iterates to the
     # budget; the second warned and reported Converged at x = 0.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,16 @@ def test_eigen_refuses_asymmetry_that_overflows_without_a_warning():
     # the refusal; the suite turns that warning into an error.
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_eigen([[1.0, 1e308], [-1e308, 1.0]])
+
+
+def test_eigen_refuses_a_spectrum_past_the_float_range_without_a_warning():
+    # The matrix is finite, its top eigenvalue 3.4e308 is not; it came back
+    # as [0.0, inf] without a word.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            symmetric_eigen([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+    assert str(excinfo.value) == "eigenvalues [0.0, inf] of B overflow binary64"
 
 
 def test_eigen_accepts_roundoff_asymmetry():

@@ -130,6 +130,30 @@ def test_analyze_example1(example1):
     assert math.cos(report.theta) == pytest.approx(0.8, abs=1e-15)
 
 
+def test_optimal_alpha_is_finite_where_the_eigenvalue_sum_passes_the_float_range():
+    # l_1 + l_n = 2e308 overflowed to inf, and 2/inf gave optimal_alpha 0.0.
+    report = analyze(LinearSystem(np.eye(2), [1.0, 1.0]), [1e308, 1e308])
+    assert report.optimal_alpha == 1e-308
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_optimal_alpha_keeps_the_bits_of_two_over_the_eigenvalue_sum(seed):
+    rng = np.random.default_rng(6100 + seed)
+    sides = set()
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        system = random_nonsingular_system(rng, n)
+        w = rng.uniform(0.2, 1.2, size=n) * 10.0 ** rng.uniform(-300.0, 300.0)
+        try:
+            report = analyze(system, w)
+        except SingularMatrixError:
+            continue
+        lam_min, lam_max = float(report.eigenvalues[0]), float(report.eigenvalues[-1])
+        assert report.optimal_alpha == 2.0 / (lam_min + lam_max)
+        sides.add(lam_max > 1.0)
+    assert sides == {False, True}
+
+
 def test_analyze_example2(example2):
     report = analyze(example2)
     assert report.spectral_radius == 0.0
@@ -452,6 +476,21 @@ def test_envelope_rejects_negative_inputs():
         error_envelope(0.5, -1.0, 3)
     with pytest.raises(ValueError):
         error_envelope(0.5, 1.0, -1)
+
+
+@pytest.mark.parametrize("steps", [2.7, -0.5, math.nan, math.inf])
+def test_envelope_refuses_steps_that_are_not_integers(steps):
+    # 2.7 gave 3 values and -0.5 gave 1; NaN and inf failed in int().
+    with pytest.raises(ValueError) as excinfo:
+        error_envelope(0.5, 1.0, steps)
+    assert str(excinfo.value) == f"steps must be a nonnegative integer, got {steps}"
+
+
+def test_envelope_takes_integral_float_steps_and_refuses_negative_ones():
+    assert np.array_equal(error_envelope(0.5, 1.0, 3.0), [1.0, 0.5, 0.25, 0.125])
+    with pytest.raises(ValueError) as excinfo:
+        error_envelope(0.5, 1.0, -1)
+    assert str(excinfo.value) == "steps must be nonnegative, got -1"
 
 
 def test_envelope_dominates_observed_errors():

@@ -84,6 +84,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
                              "--json-out", "report.json"]),
         # theta = 90 degrees, a zero rate and a true boolean.
         ("analyze-identity", ["analyze", "--matrix", p["A2id"]]),
+        # l_1 + l_n = 2e308 passes the float range; optimal_alpha is 1e-308.
+        ("analyze-huge-weights", ["analyze", "--matrix", p["A2id"], "--weights", "1e308,1e308",
+                                  "--json-out", "report.json"]),
         ("solve-diverges", ["solve", *ex1, "--weights", "2,2"]),
         # Exits 3; the iterate crosses 1e150 partway through a block, so the
         # trace ends in a cut block.
@@ -102,6 +105,8 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-weights-subnormal", ["analyze", "--matrix", p["A2"], "--weights", "1e-310,1e-310",
                                       "--json-out", "report.json"]),
         ("refuse-header", ["analyze", "--matrix", p["bad_header"]]),
+        # B is finite, its top eigenvalue is not.
+        ("refuse-eigen-overflow", ["analyze", "--matrix", p["A2"], "--weights", "1e308,1e308"]),
         # (w1 - w2)**2 passes the float range: the rate is refused.
         ("refuse-sweep-rate", ["sweep", "--theta-grid", "10:170:1", "--weights", "1e300,1",
                                "--out", "sweep.csv"]),
