@@ -84,8 +84,8 @@ def _parse_theta_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"--theta-grid: non-numeric bound in {text!r}") from None
-    if not (step > 0.0 and stop >= start):  # also refuses NaN
-        raise ValueError(f"--theta-grid: need step > 0 and stop >= start, got {text!r}")
+    if not (0.0 < step < math.inf and stop >= start):  # NaN and an inf step fail too
+        raise ValueError(f"--theta-grid: need a finite step > 0 and stop >= start, got {text!r}")
     span = (stop - start) / step + 1e-9
     # Checked before np.arange allocates; an infinite bound fails it too.
     if not span < cio.MAX_ENTRIES:

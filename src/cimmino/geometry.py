@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, _sq_norms, as_vector
+from .linalg import (_WEIGHT_FAULT, DimensionMismatchError, _checked, _finite, _normal, _sq_norms,
+                     as_vector)
 
 UNIT_NORM_TOL = 1e-14
 
@@ -139,7 +140,7 @@ def masses_to_weights(masses) -> np.ndarray:
     Refuses a nonpositive mass, masses whose sum overflows, and masses whose
     weights the weight rule refuses (``[1e-310, 1]`` names weight [0]).
     """
-    m = as_vector(masses)
+    m = _checked(masses, 1, "masses vector")
     # Before the ratio, which is positive when every mass is negative.
     if (m <= 0.0).any():
         raise ValueError("masses must all be positive")

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _row_norms_sq, masses_to_weights
-from .linalg import (_WEIGHT_FAULT, DimensionMismatchError, _finite, _normal, _sq_norms, as_matrix,
-                     as_vector)
+from .linalg import (_WEIGHT_FAULT, DimensionMismatchError, _checked, _finite, _normal, _sq_norms,
+                     as_matrix)
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -75,8 +75,8 @@ class LinearSystem:
         and the diagonal of D_w in B = A^T D_w A.  Refuses weights that are
         not n values in [tiny, inf) and rows whose coefficient overflows.
         """
-        w = np.ones(self.n) if weights is None else _sized(weights, self.n, "weights")
-        _normal(w, _WEIGHT_FAULT)
+        w = (np.ones(self.n) if weights is None
+             else _sized(_normal(weights, _WEIGHT_FAULT), self.n, "weights"))
         coef = _finite(lambda: w / self.row_norms_sq, "row(s) {}: weight / squared norm")
         w.setflags(write=False)
         coef.setflags(write=False)
@@ -84,8 +84,8 @@ class LinearSystem:
 
 
 def _sized(values, n: int, label: str) -> np.ndarray:
-    """``as_vector`` of ``values``, which must have length n."""
-    v = as_vector(values)
+    """``values`` as a finite vector of length n, refused under the name ``label``."""
+    v = _checked(values, 1, f"{label} vector")
     if v.size != n:
         raise DimensionMismatchError(f"{label} has length {v.size}, system is {n}")
     return v
@@ -237,23 +237,18 @@ def solve(system: LinearSystem, weights=None, x0=None,
             elif done + len(xs) > max_iter:
                 terminated = Termination.MAX_ITERATIONS
             blocks.append((xs, res))
-    iterates, residual_norms = map(np.concatenate, zip(*blocks))
-    del blocks
+        iterates, residual_norms = map(np.concatenate, zip(*blocks))
+        del blocks
+        error_norms = None if solution is None else np.sqrt(_sq_norms(iterates - solution))
+    for array in (iterates, residual_norms, error_norms):
+        if array is not None:
+            array.setflags(write=False)
     # A NaN in a kept iterate or residual reaches every later residual, so
     # the last one shows whether a kept step made one.
     if math.isnan(residual_norms[-1]):
         first = int(np.isnan(residual_norms).argmax())
         warnings.warn(f"invalid value encountered in solve: the residual is NaN "
                       f"from step {first} on", RuntimeWarning, stacklevel=2)
-    iterates.setflags(write=False)
-    residual_norms.setflags(write=False)
-
-    error_norms = None
-    if solution is not None:
-        with np.errstate(over="ignore"):
-            error_norms = np.sqrt(_sq_norms(iterates - solution))
-        error_norms.setflags(write=False)
-
     return IterationTrace(
         iterates=iterates,
         residual_norms=residual_norms,

@@ -44,12 +44,13 @@ def _sq_norms(values):
         return np.add.reduce(values * values, axis=-1)
 
 
-def _normal(values, fault: str):
-    """``values`` when every entry lies in [tiny, inf), NaN failing too: the one
-    range rule for row norms and weights.  Else ``fault`` names the indices."""
+def _normal(values, fault: str) -> np.ndarray:
+    """``values`` as float64 when every entry lies in [tiny, inf), NaN failing too:
+    the one range rule for row norms and weights.  Else ``fault`` names the indices."""
+    values = np.asarray(values, dtype=np.float64)
     out_of_range = ~((values >= _TINY) & (values < np.inf))
     if out_of_range.any():
-        raise ValueError(fault.format(out_of_range.nonzero()[0].tolist()))
+        raise ValueError(fault.format(np.flatnonzero(out_of_range).tolist()))
     return values
 
 
@@ -100,15 +101,16 @@ def symmetric_eigen(b) -> np.ndarray:
     if n != m:
         raise DimensionMismatchError(f"eigenvalues need a square matrix, got {n}x{m}")
     scale = 1.0 + float(np.abs(b).max())
-    # An overflowing difference is inf, which the check refuses.
-    with np.errstate(over="ignore"):
-        asym = float(np.abs(b - b.T).max())
+    half = b / 2.0
+    # Twice the halves' difference is B - B^T bit for bit while the halves are
+    # normal, and inf where B - B^T overflows, which the check refuses.
+    asym = 2.0 * float(np.abs(half - half.T).max())
     if asym > ASYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix is not symmetric: max |B_ij - B_ji| = {asym:.3e} "
             f"exceeds {ASYMMETRY_TOL * scale:.3e}"
         )
-    eigenvalues = np.linalg.eigvalsh(b / 2.0 + b.T / 2.0)
+    eigenvalues = np.linalg.eigvalsh(half + half.T)
     if not np.isfinite(eigenvalues).all():
         raise ValueError(f"eigenvalues {eigenvalues.tolist()} of B overflow binary64")
     eigenvalues.setflags(write=False)

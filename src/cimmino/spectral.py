@@ -201,7 +201,7 @@ def contraction_factor_2d(w1: float, w2: float, theta) -> TwoByTwoSpectrum:
     the rule of ``LinearSystem.coefficients``, and weights whose spread
     overflows binary64 are refused.
     """
-    w1, w2 = _normal(np.array([w1, w2], dtype=np.float64), _WEIGHT_FAULT).tolist()
+    w1, w2 = _normal([w1, w2], _WEIGHT_FAULT).tolist()
     theta = np.asarray(theta, dtype=np.float64)
     # NaN compares false, so it fails this test as well.
     inside = (theta >= THETA_ENDPOINT_TOL) & (theta <= math.pi - THETA_ENDPOINT_TOL)

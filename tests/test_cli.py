@@ -378,6 +378,24 @@ def test_subnormal_weights_are_refused_before_any_output(example1_files, tmp_pat
     assert not out_path.exists()
 
 
+_WEIGHT_MESSAGE = "must be finite and positive, and at least 2.2250738585072014e-308"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--weights", "nan,1"],
+     f"weight(s) [0]: {_WEIGHT_MESSAGE}"),
+    (["analyze", "--matrix", "{mat}", "--weights", "1,inf"], f"weight(s) [1]: {_WEIGHT_MESSAGE}"),
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--x0=nan,0"],
+     "x0 vector entries must be finite"),
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--solution=1,inf"],
+     "known_solution vector entries must be finite"),
+], ids=["solve-weights-nan", "analyze-weights-inf", "solve-x0-nan", "solve-solution-inf"])
+def test_non_finite_options_are_refused_by_name(example1_files, capsys, argv, message):
+    mat, rhs = example1_files
+    assert cli.main([arg.format(mat=mat, rhs=rhs) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"cimmino: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -437,7 +455,9 @@ def test_sweep_rejects_bad_pairs(tmp_path, capsys):
     ("10:170:1", "1,1;", "--weights: empty list"),
     ("10:170", "1,1", "--theta-grid: expected start:stop:step degrees, got '10:170'"),
     ("a:170:1", "1,1", "--theta-grid: non-numeric bound in 'a:170:1'"),
-], ids=["empty-pair", "two-part-grid", "non-numeric-bound"])
+    ("10:170:inf", "1,1",
+     "--theta-grid: need a finite step > 0 and stop >= start, got '10:170:inf'"),
+], ids=["empty-pair", "two-part-grid", "non-numeric-bound", "infinite-step"])
 def test_sweep_refuses_malformed_options(tmp_path, capsys, grid, weights, message):
     out_path = tmp_path / "s.csv"
     argv = ["sweep", "--theta-grid", grid, "--weights", weights, "--out", str(out_path)]
@@ -768,3 +788,23 @@ def test_analyze_bytes_deterministic_per_blas_thread_count(tmp_path):
             assert first == second, f"{path.name} at {threads} thread(s)"
             by_threads[threads, path.name] = first
     assert by_threads[1, small.name] == by_threads[2, small.name]
+
+
+def test_solve_bytes_equal_at_one_and_two_blas_threads(tmp_path):
+    # A 400x400 system at rho = 0.977 runs out of its 300-step budget; its
+    # gemv steps and trace must not depend on the BLAS thread count.
+    rng = np.random.default_rng(400)
+    a = np.eye(400) + rng.standard_normal((400, 400)) / 60.0
+    write_mm_array(tmp_path / "a.mtx", a)
+    write_mm_vector(tmp_path / "b.mtx", a @ np.ones(400))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"trace-{threads}.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "cimmino", "solve", "--matrix", str(tmp_path / "a.mtx"),
+             "--rhs", str(tmp_path / "b.mtx"), "--max-iter", "300", "--trace-out", str(out)],
+            capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
+        )
+        assert result.returncode == 2, result.stderr
+        runs.append((result.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]

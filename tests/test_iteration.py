@@ -100,6 +100,22 @@ def test_system_rejects_non_finite():
         LinearSystem([[1.0, float("nan")], [0.0, 1.0]], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda s: LinearSystem(s.matrix, [math.nan, 1.0]), "rhs"),
+    (lambda s: solve(s, x0=[math.inf, 0.0]), "x0"),
+    (lambda s: solve(s, known_solution=[1.0, math.nan]), "known_solution"),
+    (lambda s: s.residual_norm([math.nan, 0.0]), "x"),
+    (lambda s: cimmino_step(s, [-math.inf, 0.0], None), "iterate"),
+    (lambda s: centroid_step(s, [0.0, 0.0], [math.nan, 1.0]), "masses"),
+    (lambda s: masses_to_weights([math.inf, 1.0]), "masses"),
+], ids=["rhs", "x0", "known_solution", "residual_norm-x", "cimmino_step-iterate",
+        "centroid_step-masses", "masses_to_weights"])
+def test_a_non_finite_vector_is_refused_by_its_name(example1, call, name):
+    with pytest.raises(ValueError) as excinfo:
+        call(example1)
+    assert str(excinfo.value) == f"{name} vector entries must be finite"
+
+
 def test_system_is_immutable(example1):
     with pytest.raises(ValueError):
         example1.matrix[0, 0] = 99.0

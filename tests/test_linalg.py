@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,6 +174,51 @@ def test_eigen_refuses_a_spectrum_past_the_float_range_without_a_warning():
         with pytest.raises(ValueError) as excinfo:
             symmetric_eigen([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
     assert str(excinfo.value) == "eigenvalues [0.0, inf] of B overflow binary64"
+
+
+def _eigen_oracle(b):
+    """eigvalsh of B/2 + B^T/2, or the refusal expected: "not symmetric" where
+    max|B - B^T| > 1e-12 * (1 + max|B|), "overflow" past binary64."""
+    with np.errstate(over="ignore"):
+        asym = float(np.abs(b - b.T).max())
+    if asym > 1e-12 * (1.0 + float(np.abs(b).max())):
+        return "not symmetric"
+    eigenvalues = np.linalg.eigvalsh(b / 2.0 + b.T / 2.0)
+    return eigenvalues if np.isfinite(eigenvalues).all() else "overflow"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eigen_is_eigvalsh_of_the_halves_and_refuses_exactly_past_the_tolerance(seed):
+    rng = np.random.default_rng(7100 + seed)
+    # B - B^T overflows; entries near 1e307 just past and within the tolerance;
+    # a finite B with an eigenvalue past binary64.
+    matrices = [np.array([[1e307, 1.7e308], [-1.7e308, 1e307]]),
+                np.array([[1e307, 1e307], [1e307 + 1.1e295, 1e307]]),
+                np.array([[1e307, 1e307], [1e307 + 0.9e295, 1e307]]),
+                np.full((2, 2), 1.7e308)]
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-300.0, 307.0)
+        kind = rng.integers(3)
+        if kind == 0:
+            b = m + m.T
+        elif kind == 1:
+            # Asymmetry on both sides of the tolerance.
+            b = m + m.T + m * 10.0 ** rng.uniform(-14.0, -10.0)
+        else:
+            b = m
+        matrices.append(b)
+    outcomes = Counter()
+    for b in matrices:
+        expected = _eigen_oracle(b)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                symmetric_eigen(b)
+            outcomes[expected] += 1
+        else:
+            assert symmetric_eigen(b).tobytes() == expected.tobytes()
+            outcomes["equal"] += 1
+    assert outcomes["equal"] > 300 and outcomes["not symmetric"] > 100 and outcomes["overflow"] == 1
 
 
 def test_eigen_accepts_roundoff_asymmetry():

@@ -266,11 +266,14 @@ _WEIGHT_PATHS = {
     "solve": lambda s, w: solve(s, weights=w, max_iter=10),
     "cimmino_step": lambda s, w: cimmino_step(s, [0.0, 0.0], w),
     "weighted_normal_matrix": weighted_normal_matrix,
+    "iteration_matrix": iteration_matrix,
+    "is_tight_frame": is_tight_frame,
 }
 
 
-@pytest.mark.parametrize("weights", [(0.0, 1.0), (-1.0, 1.0), (1e-310, 1.0), (_TINY / 2, 1.0)],
-                         ids=["zero", "negative", "subnormal", "half-tiny"])
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (-1.0, 1.0), (1e-310, 1.0), (_TINY / 2, 1.0),
+                                     (math.nan, 1.0), (math.inf, 1.0)],
+                         ids=["zero", "negative", "subnormal", "half-tiny", "nan", "inf"])
 def test_closed_form_and_eigen_paths_refuse_the_same_weights(example1, weights):
     messages = set()
     for call in _WEIGHT_PATHS.values():
@@ -279,6 +282,20 @@ def test_closed_form_and_eigen_paths_refuse_the_same_weights(example1, weights):
         messages.add(str(excinfo.value))
     assert messages == {
         "weight(s) [0]: must be finite and positive, and at least 2.2250738585072014e-308"}
+
+
+@pytest.mark.parametrize("weights, indices", [
+    ((1.0, -math.inf), [1]), ((math.nan, math.inf), [0, 1]), ((math.inf, 1.0, 1.0), [0]),
+], ids=["minus-inf-second", "both-non-finite", "non-finite-and-too-long"])
+def test_every_weight_path_names_the_non_finite_weights(example1, weights, indices):
+    # The weight rule judges the entries before the length is checked.
+    for name, call in _WEIGHT_PATHS.items():
+        if name == "closed-form" and len(weights) != 2:
+            continue
+        with pytest.raises(ValueError) as excinfo:
+            call(example1, weights)
+        assert str(excinfo.value) == (f"weight(s) {indices}: must be finite and positive, "
+                                      "and at least 2.2250738585072014e-308")
 
 
 def test_closed_form_and_eigen_paths_accept_the_smallest_normal_weights(example1):

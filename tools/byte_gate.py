@@ -101,6 +101,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-zero-row", ["solve", "--matrix", p["A2zero"], "--rhs", p["b2"]]),
         ("refuse-row-overflow", ["analyze", "--matrix", p["A2huge"]]),
         ("refuse-weights", ["solve", *ex1, "--weights", "0,1"]),
+        # Non-finite weights get the weight rule's message, not the vector's.
+        ("refuse-weights-nan", ["solve", *ex1, "--weights", "nan,1"]),
+        ("refuse-x0-nonfinite", ["solve", *ex1, "--x0=nan,0"]),
         # Subnormal weights: 2/(l_1 + l_n) would be inf, which JSON cannot hold.
         ("refuse-weights-subnormal", ["analyze", "--matrix", p["A2"], "--weights", "1e-310,1e-310",
                                       "--json-out", "report.json"]),
@@ -111,6 +114,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-sweep-rate", ["sweep", "--theta-grid", "10:170:1", "--weights", "1e300,1",
                                "--out", "sweep.csv"]),
         ("refuse-rhs-overflow", ["solve", "--matrix", p["A2id"], "--rhs", p["b2huge"]]),
+        # An infinite step would make the first angle inf * 0.
+        ("refuse-theta-grid-inf-step", ["sweep", "--theta-grid", "10:170:inf", "--weights", "1,1",
+                                        "--out", "sweep.csv"]),
         # 1000 rows x 1001 rates: each row count is in range, the table is not.
         ("refuse-table", ["envelope", "--rho", ",".join(["0.5"] * 1001), "--steps", "999",
                           "--out", "env.csv"]),
