@@ -84,10 +84,12 @@ def _parse_theta_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"--theta-grid: non-numeric bound in {text!r}") from None
-    if not (0.0 < step < math.inf and stop >= start):  # NaN and an inf step fail too
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"--theta-grid: bounds must be finite, got {text!r}")
+    if not (0.0 < step < math.inf and stop >= start):  # a NaN or an inf step fails too
         raise ValueError(f"--theta-grid: need a finite step > 0 and stop >= start, got {text!r}")
     span = (stop - start) / step + 1e-9
-    # Checked before np.arange allocates; an infinite bound fails it too.
+    # Checked before np.arange allocates.
     if not span < cio.MAX_ENTRIES:
         raise ValueError(f"--theta-grid: {text!r} gives more than {cio.MAX_ENTRIES} angles")
     return start + step * np.arange(int(math.floor(span)) + 1)

@@ -146,13 +146,14 @@ def read_matrix_market(path) -> np.ndarray:
     def at(k):
         return f"({i[k] + 1}, {j[k] + 1})"
 
-    _refuse_first((i < 0) | (i >= rows) | (j < 0) | (j >= cols), "index-out-of-range",
-                  lambda k: f"entry {at(k)} outside {rows}x{cols}", path)
-    flat = i * cols + j
-    _refuse_first(np.bincount(flat, minlength=rows * cols)[flat] > 1, "duplicate-coordinate",
-                  lambda k: f"duplicate coordinate {at(k)}", path)
-    _refuse_first(symmetric & (i < j), "symmetric-upper-entry",
-                  lambda k: f"symmetric storage lists the lower triangle; got {at(k)}", path)
+    if fmt == "coordinate":  # an array file's (i, j) are made above: in range, distinct, lower
+        _refuse_first((i < 0) | (i >= rows) | (j < 0) | (j >= cols), "index-out-of-range",
+                      lambda k: f"entry {at(k)} outside {rows}x{cols}", path)
+        flat = i * cols + j
+        _refuse_first(np.bincount(flat, minlength=rows * cols)[flat] > 1, "duplicate-coordinate",
+                      lambda k: f"duplicate coordinate {at(k)}", path)
+        _refuse_first(symmetric & (i < j), "symmetric-upper-entry",
+                      lambda k: f"symmetric storage lists the lower triangle; got {at(k)}", path)
     _refuse_first(~np.isfinite(values), "non-finite",
                   lambda k: f"non-finite value {_shown(value_tokens[k])}", path)
 

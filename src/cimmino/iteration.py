@@ -209,22 +209,21 @@ def solve(system: LinearSystem, weights=None, x0=None,
     blocks = []
     x = x0
     terminated = None
-    # Steps run in blocks of up to _CHECK_BLOCK.  Each block's iterates are
-    # stacked once; the residual and divergence tests run on the block's
-    # stacked norms, and the steps after the first stop are cut off.  Every
-    # block but the last is full.  A diverging run's norms may overflow to
-    # inf, and a cut step past the crossing to inf - inf: values, not
-    # faults.  A NaN made by a kept step is warned of below.
+    # Steps run in blocks of _CHECK_BLOCK, fewer where the budget ends.  Each
+    # block's iterates are stacked once; the residual and divergence tests run
+    # on its stacked norms, and the steps after the first stop or past the
+    # budget are cut off.  A diverging run's norms may overflow to inf, and a
+    # cut step past the crossing to inf - inf: values, not faults.  A NaN
+    # made by a kept step is warned of below.
     with np.errstate(over="ignore", invalid="ignore"):
         while terminated is None:
             done = len(blocks) * _CHECK_BLOCK
+            m = int(min(_CHECK_BLOCK, max_iter - done + 1))
             xs, rs = [], []
-            for _ in range(_CHECK_BLOCK):
+            for _ in range(m):
                 r = b - a.dot(x)
                 xs.append(x)
                 rs.append(r)
-                if done + len(xs) > max_iter:
-                    break
                 x = _step(a, x, coef, r)
             xs = np.array(xs)
             res = np.sqrt(_sq_norms(np.array(rs)))
@@ -234,7 +233,7 @@ def solve(system: LinearSystem, weights=None, x0=None,
             if stops[k]:
                 terminated = Termination.CONVERGED if converged[k] else Termination.DIVERGED
                 xs, res = xs[:k + 1], res[:k + 1]
-            elif done + len(xs) > max_iter:
+            elif done + m > max_iter:
                 terminated = Termination.MAX_ITERATIONS
             blocks.append((xs, res))
         iterates, residual_norms = map(np.concatenate, zip(*blocks))

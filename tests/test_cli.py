@@ -457,12 +457,25 @@ def test_sweep_rejects_bad_pairs(tmp_path, capsys):
     ("a:170:1", "1,1", "--theta-grid: non-numeric bound in 'a:170:1'"),
     ("10:170:inf", "1,1",
      "--theta-grid: need a finite step > 0 and stop >= start, got '10:170:inf'"),
-], ids=["empty-pair", "two-part-grid", "non-numeric-bound", "infinite-step"])
+    ("inf:inf:1", "1,1", "--theta-grid: bounds must be finite, got 'inf:inf:1'"),
+    ("10:inf:1", "1,1", "--theta-grid: bounds must be finite, got '10:inf:1'"),
+], ids=["empty-pair", "two-part-grid", "non-numeric-bound", "infinite-step",
+        "infinite-bounds", "infinite-stop"])
 def test_sweep_refuses_malformed_options(tmp_path, capsys, grid, weights, message):
     out_path = tmp_path / "s.csv"
     argv = ["sweep", "--theta-grid", grid, "--weights", weights, "--out", str(out_path)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"cimmino: error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_sweep_refuses_an_infinite_start(tmp_path, capsys):
+    # "--opt=value": argparse would take a grid starting with "-" for an option.
+    out_path = tmp_path / "s.csv"
+    argv = ["sweep", "--theta-grid=-inf:10:1", "--weights", "1,1", "--out", str(out_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("cimmino: error: --theta-grid: bounds must be finite, "
+                                       "got '-inf:10:1'\n")
     assert not out_path.exists()
 
 

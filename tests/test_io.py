@@ -189,6 +189,15 @@ _SINGLE_FAULT = {
         "%%MatrixMarket matrix array real general\n0 2\n",
         "malformed-size", "nonpositive dimensions [0, 2]",
     ),
+    "symmetric-array-value-inf": (
+        "%%MatrixMarket matrix array real symmetric\n2 2\n1\ninf\n3\n",
+        "non-finite", "'inf'",
+    ),
+    # Value tokens are refused before any index range: the malformed value wins.
+    "coordinate-bad-value-and-index": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 abc\n",
+        "malformed-entry", "'abc'",
+    ),
 }
 
 

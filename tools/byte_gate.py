@@ -93,6 +93,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("solve-diverges-trace", ["solve", *ex1, "--weights", "2,2", "--solution", "1,1",
                                   "--trace-out", "trace.csv"]),
         ("solve-budget", ["solve", *ex1, "--max-iter", "5", "--x0=4,-7"]),
+        # Exits 2 with an 18-row trace: the budget ends one step into the second block.
+        ("solve-budget-edge", ["solve", *ex1, "--max-iter", "17", "--x0=4,-7", "--solution", "1,1",
+                               "--trace-out", "trace.csv"]),
         ("analyze-n128", ["analyze", "--matrix", p["A128"], "--json-out", "report.json"]),
         # "--opt=value": argparse would take a list starting with "-" for an option.
         ("solve-n1000", ["solve", "--matrix", p["A1000"], "--rhs", p["b1000"],
@@ -117,6 +120,8 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         # An infinite step would make the first angle inf * 0.
         ("refuse-theta-grid-inf-step", ["sweep", "--theta-grid", "10:170:inf", "--weights", "1,1",
                                         "--out", "sweep.csv"]),
+        ("refuse-theta-grid-inf-bounds", ["sweep", "--theta-grid", "inf:inf:1", "--weights", "1,1",
+                                          "--out", "sweep.csv"]),
         # 1000 rows x 1001 rates: each row count is in range, the table is not.
         ("refuse-table", ["envelope", "--rho", ",".join(["0.5"] * 1001), "--steps", "999",
                           "--out", "env.csv"]),
