@@ -44,10 +44,10 @@ _DEMO_FIGURE1 = (((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0)), (0.0, 0.0))
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads only a lone negative number as a value; widen that
-        # to a comma-separated numeric list such as "-1,2", so "--x0 -1,2"
-        # is not mistaken for an option.
-        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,]*$")
+        # argparse reads only a lone negative number as a value; widen that to
+        # any token that begins like a negative float ("-1,2", "-10:170:1",
+        # "-inf,0"), so each value reaches the rule that parses and refuses it.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # argparse exits 2 on usage errors by default; 2 is reserved for the
     # iteration budget here, so remap usage errors to 1.

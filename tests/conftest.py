@@ -6,7 +6,6 @@ import pytest
 
 from cimmino import IterationTrace, LinearSystem
 from cimmino.io import TRACE_CSV_HEADER, format_float
-from cimmino.iteration import _aligned_ratios
 from cimmino.spectral import ConvergenceClass, SpectralReport
 
 REPORT_FIELD_ORDER = (
@@ -71,17 +70,20 @@ def write_mm_vector(path, values) -> None:
 def error_sequence(trace: IterationTrace) -> list[tuple[int, float, float | None]]:
     """Flatten a traced run into (step, error_norm, ratio) rows for export.
 
-    The ratio at row nu is error[nu]/error[nu-1]; it is None at nu = 0 and
-    wherever the denominator underflowed.  Requires a trace recorded with
-    ``known_solution``.
+    The ratio at row nu is error[nu]/error[nu-1]; it is None at nu = 0,
+    wherever the denominator is below 1e-300 or NaN, and where the quotient
+    is NaN (inf/inf).  The rule is written out here, apart from the
+    program's, so that the trace CSV oracle checks it too.  Requires a trace
+    recorded with ``known_solution``.
     """
     if trace.error_norms is None:
         raise ValueError("known solution required: trace has no error norms")
-    ratios = _aligned_ratios(trace.error_norms)
-    return [
-        (nu, float(err), None if math.isnan(ratio) else float(ratio))
-        for nu, (err, ratio) in enumerate(zip(trace.error_norms, ratios))
-    ]
+    errors = trace.error_norms.tolist()
+    rows = []
+    for nu, err in enumerate(errors):
+        ratio = err / errors[nu - 1] if nu > 0 and errors[nu - 1] >= 1e-300 else math.nan
+        rows.append((nu, err, None if math.isnan(ratio) else ratio))
+    return rows
 
 
 def sweep_csv_text(thetas_deg, names, columns) -> str:

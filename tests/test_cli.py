@@ -230,6 +230,64 @@ def test_unknown_command_exits_1(capsys):
     assert excinfo.value.code == 1
 
 
+# The options each command needs, with values that run; a case replaces one.
+_REQUIRED = {
+    "solve": {"--matrix": "{mat}", "--rhs": "{rhs}"},
+    "analyze": {"--matrix": "{mat}"},
+    "sweep": {"--theta-grid": "10:170:1", "--weights": "1,1", "--out": "{out}"},
+    "envelope": {"--rho": "0.5", "--steps": "3", "--out": "{out}"},
+}
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``cli.main`` run, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# Every option that takes a value, with one that starts with a minus sign.
+# Seven of them are values that a list of numeric value characters would
+# leave argparse to read as unknown options ("expected one argument"):
+# "-10:170:1", "-inf:10:1", "-1,1;1,1", "-1_0,2", "-inf,0", "-NaN,1", "-inf".
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "--x0", "-1,2"),
+    ("solve", "--x0", "-1_0,2"),
+    ("solve", "--x0", "-inf,0"),
+    ("solve", "--solution", "-1,2"),
+    ("solve", "--solution", "-NaN,1"),
+    ("solve", "--weights", "-1,1"),
+    ("solve", "--tol", "-inf"),
+    ("solve", "--tol", "-1e-10"),
+    ("solve", "--max-iter", "-1"),
+    ("analyze", "--weights", "-1,1"),
+    ("sweep", "--theta-grid", "-10:170:1"),
+    ("sweep", "--theta-grid", "-inf:10:1"),
+    ("sweep", "--weights", "-1,1;1,1"),
+    ("envelope", "--rho", "-0.5"),
+    ("envelope", "--e0", "-1"),
+    ("envelope", "--steps", "-3"),
+])
+def test_a_negative_value_gives_the_same_outcome_in_either_spelling(
+        example1_files, tmp_path, capsys, command, option, value):
+    mat, rhs = example1_files
+    options = {key: text.format(mat=mat, rhs=rhs, out=tmp_path / "out.csv")
+               for key, text in {**_REQUIRED[command], option: value}.items()}
+
+    def spelled(joined):
+        argv = [command]
+        for key, text in options.items():
+            argv += [f"{key}={text}"] if joined and key == option else [key, text]
+        return argv
+
+    outcome = _outcome(spelled(False), capsys)
+    assert outcome == _outcome(spelled(True), capsys)
+    # argparse only split the options: the value met the program's own rule.
+    assert "usage:" not in outcome[2]
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -470,7 +528,8 @@ def test_sweep_refuses_malformed_options(tmp_path, capsys, grid, weights, messag
 
 
 def test_sweep_refuses_an_infinite_start(tmp_path, capsys):
-    # "--opt=value": argparse would take a grid starting with "-" for an option.
+    # The "--opt=value" spelling; the spaced one is among the cases of
+    # test_a_negative_value_gives_the_same_outcome_in_either_spelling.
     out_path = tmp_path / "s.csv"
     argv = ["sweep", "--theta-grid=-inf:10:1", "--weights", "1,1", "--out", str(out_path)]
     assert cli.main(argv) == 1
@@ -804,20 +863,25 @@ def test_analyze_bytes_deterministic_per_blas_thread_count(tmp_path):
 
 
 def test_solve_bytes_equal_at_one_and_two_blas_threads(tmp_path):
-    # A 400x400 system at rho = 0.977 runs out of its 300-step budget; its
-    # gemv steps and trace must not depend on the BLAS thread count.
-    rng = np.random.default_rng(400)
-    a = np.eye(400) + rng.standard_normal((400, 400)) / 60.0
-    write_mm_array(tmp_path / "a.mtx", a)
-    write_mm_vector(tmp_path / "b.mtx", a @ np.ones(400))
-    runs = []
-    for threads in (1, 2):
-        out = tmp_path / f"trace-{threads}.csv"
-        result = subprocess.run(
-            [sys.executable, "-m", "cimmino", "solve", "--matrix", str(tmp_path / "a.mtx"),
-             "--rhs", str(tmp_path / "b.mtx"), "--max-iter", "300", "--trace-out", str(out)],
-            capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
-        )
-        assert result.returncode == 2, result.stderr
-        runs.append((result.stdout, out.read_bytes()))
-    assert runs[0] == runs[1]
+    # A 400x400 system at rho = 0.977 runs out of its 300-step budget, and a
+    # 1000x1000 one out of 40 steps; their gemv steps and traces must not
+    # depend on the BLAS thread count.  At n = 1000 OpenBLAS splits the gemv
+    # (on a 2-core VM, 40 steps took ~26 ms at 1 thread and ~14 ms at 2).
+    # Each input is written here, once: one built in each child would differ
+    # between thread counts through its own gemm.
+    for n, spread, budget in ((400, 60.0, "300"), (1000, 150.0, "40")):
+        rng = np.random.default_rng(n)
+        a = np.eye(n) + rng.standard_normal((n, n)) / spread
+        write_mm_array(tmp_path / "a.mtx", a)
+        write_mm_vector(tmp_path / "b.mtx", a @ np.ones(n))
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"trace-{threads}.csv"
+            result = subprocess.run(
+                [sys.executable, "-m", "cimmino", "solve", "--matrix", str(tmp_path / "a.mtx"),
+                 "--rhs", str(tmp_path / "b.mtx"), "--max-iter", budget, "--trace-out", str(out)],
+                capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
+            )
+            assert result.returncode == 2, result.stderr
+            runs.append((result.stdout, out.read_bytes()))
+        assert runs[0] == runs[1], f"n = {n}"

@@ -93,11 +93,13 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("solve-diverges-trace", ["solve", *ex1, "--weights", "2,2", "--solution", "1,1",
                                   "--trace-out", "trace.csv"]),
         ("solve-budget", ["solve", *ex1, "--max-iter", "5", "--x0=4,-7"]),
+        # A value that starts with a minus sign and holds a digit separator.
+        ("solve-x0-negative-underscore", ["solve", *ex1, "--x0", "-1_0,2", "--max-iter", "3"]),
         # Exits 2 with an 18-row trace: the budget ends one step into the second block.
         ("solve-budget-edge", ["solve", *ex1, "--max-iter", "17", "--x0=4,-7", "--solution", "1,1",
                                "--trace-out", "trace.csv"]),
         ("analyze-n128", ["analyze", "--matrix", p["A128"], "--json-out", "report.json"]),
-        # "--opt=value": argparse would take a list starting with "-" for an option.
+        # The "--opt=value" spelling, which perfbench's solve-n1000 workload uses.
         ("solve-n1000", ["solve", "--matrix", p["A1000"], "--rhs", p["b1000"],
                          "--weights=" + p["alpha_weights"], "--solution=" + p["x_star"],
                          "--trace-out", "trace.csv"]),
@@ -119,6 +121,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("refuse-rhs-overflow", ["solve", "--matrix", p["A2id"], "--rhs", p["b2huge"]]),
         # An infinite step would make the first angle inf * 0.
         ("refuse-theta-grid-inf-step", ["sweep", "--theta-grid", "10:170:inf", "--weights", "1,1",
+                                        "--out", "sweep.csv"]),
+        # A grid that starts with a minus sign, in the space spelling.
+        ("refuse-theta-grid-negative", ["sweep", "--theta-grid", "-10:170:1", "--weights", "1,1",
                                         "--out", "sweep.csv"]),
         ("refuse-theta-grid-inf-bounds", ["sweep", "--theta-grid", "inf:inf:1", "--weights", "1,1",
                                           "--out", "sweep.csv"]),
