@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -56,23 +57,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parse_floats(text: str, label: str) -> np.ndarray:
+def _parse_floats(text: str, label: str) -> list[float]:
+    if not text:
+        raise ValueError(f"{label}: empty list")
     try:
-        values = [float(tok) for tok in text.split(",") if tok != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{label}: expected comma-separated reals, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{label}: empty list")
-    return np.array(values)
 
 
 def _parse_weight_pairs(text: str) -> list[tuple[float, float]]:
     pairs = []
     for chunk in text.split(";"):
         values = _parse_floats(chunk, "--weights")
-        if values.size != 2:
+        if len(values) != 2:
             raise ValueError(f"--weights: each pair needs exactly 2 values, got {chunk!r}")
-        pairs.append((float(values[0]), float(values[1])))
+        pairs.append(tuple(values))
     return pairs
 
 
@@ -159,7 +159,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    rates = [float(r) for r in _parse_floats(args.rho, "--rho")]
+    rates = _parse_floats(args.rho, "--rho")
     _refuse_large_table(args.steps + 1, "rows", len(rates), "rate(s)")
     columns = [error_envelope(r, args.e0, args.steps) for r in rates]
     names = [f"rho_{cio.format_float(r)}" for r in rates]
@@ -267,9 +267,9 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--weights", help="comma-separated positive weights (default: all ones)")
     p_solve.add_argument("--x0", help="comma-separated starting point (default: zeros)")
     p_solve.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,
-                         help="relative residual tolerance (default: 1e-10)")
+                         help="relative residual tolerance (default: %(default)s)")
     p_solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                         help="iteration budget (default: 10000)")
+                         help="iteration budget (default: %(default)s)")
     p_solve.add_argument("--solution", help="known solution; enables error/ratio columns")
     p_solve.add_argument("--trace-out", help="write the iteration trace CSV here")
     p_solve.set_defaults(handler=_cmd_solve)
@@ -305,6 +305,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A library warning reaches stderr as one line that names no source file.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"cimmino: warning: {message}\n"
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
@@ -312,6 +315,8 @@ def main(argv=None) -> int:
         # LAPACK failures (LinAlgError), unreadable/unwritable paths.
         print(f"cimmino: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -201,6 +201,23 @@ def test_solve_warns_when_a_kept_step_makes_a_nan(tmp_path, capsys):
         "termination: MaxIterations\niterations: 40\nfinal_residual: nan\nx: nan nan\n")
 
 
+def test_a_library_warning_reaches_stderr_as_one_line(tmp_path, capsys):
+    # The line names no source file or source line, and main restores the
+    # warnings formatter it replaced.
+    mat, vec = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_mm_array(mat, [[1e-150, 0.0], [0.0, 1.0]])
+    write_mm_vector(vec, [1e10, 1.0])
+    result = subprocess.run(
+        [sys.executable, "-m", "cimmino", "solve", "--matrix", str(mat), "--rhs", str(vec),
+         "--max-iter", "40"], capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 2
+    assert result.stderr == ("cimmino: warning: invalid value encountered in solve: "
+                             "the residual is NaN from step 1 on\n")
+    formatwarning = warnings.formatwarning
+    assert cli.main(["demo", "example2"]) == 0
+    assert warnings.formatwarning is formatwarning
+
+
 def test_solve_overflowing_error_norms_print_no_warning(tmp_path, capsys):
     # Every error norm against this far-off reference is inf; inf/inf ratios
     # are undefined and written empty, without numpy's "invalid value" warning.
@@ -447,7 +464,18 @@ _WEIGHT_MESSAGE = "must be finite and positive, and at least 2.2250738585072014e
      "x0 vector entries must be finite"),
     (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--solution=1,inf"],
      "known_solution vector entries must be finite"),
-], ids=["solve-weights-nan", "analyze-weights-inf", "solve-x0-nan", "solve-solution-inf"])
+    # An empty element (doubled, leading or trailing comma) is not a float.
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--weights", "1,,1"],
+     "--weights: expected comma-separated reals, got '1,,1'"),
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--solution", "1,,2"],
+     "--solution: expected comma-separated reals, got '1,,2'"),
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--x0", ",1"],
+     "--x0: expected comma-separated reals, got ',1'"),
+    (["analyze", "--matrix", "{mat}", "--weights", "1,1,"],
+     "--weights: expected comma-separated reals, got '1,1,'"),
+], ids=["solve-weights-nan", "analyze-weights-inf", "solve-x0-nan", "solve-solution-inf",
+        "solve-weights-empty-element", "solve-solution-empty-element", "solve-x0-empty-element",
+        "analyze-weights-empty-element"])
 def test_non_finite_options_are_refused_by_name(example1_files, capsys, argv, message):
     mat, rhs = example1_files
     assert cli.main([arg.format(mat=mat, rhs=rhs) for arg in argv]) == 1
@@ -517,8 +545,9 @@ def test_sweep_rejects_bad_pairs(tmp_path, capsys):
      "--theta-grid: need a finite step > 0 and stop >= start, got '10:170:inf'"),
     ("inf:inf:1", "1,1", "--theta-grid: bounds must be finite, got 'inf:inf:1'"),
     ("10:inf:1", "1,1", "--theta-grid: bounds must be finite, got '10:inf:1'"),
+    ("10:170:1", "1,,1", "--weights: expected comma-separated reals, got '1,,1'"),
 ], ids=["empty-pair", "two-part-grid", "non-numeric-bound", "infinite-step",
-        "infinite-bounds", "infinite-stop"])
+        "infinite-bounds", "infinite-stop", "empty-element"])
 def test_sweep_refuses_malformed_options(tmp_path, capsys, grid, weights, message):
     out_path = tmp_path / "s.csv"
     argv = ["sweep", "--theta-grid", grid, "--weights", weights, "--out", str(out_path)]
@@ -685,7 +714,9 @@ def test_envelope_zero_initial_error_stays_zero(tmp_path, capsys):
     (["sweep", "--theta-grid", "10:170:1", "--weights", "inf,1"], "finite and positive"),
     (["envelope", "--rho", "nan", "--steps", "3"], "rho must be finite"),
     (["envelope", "--rho", "0.5", "--e0", "inf", "--steps", "3"], "initial_error must be finite"),
-], ids=["sweep-weights-inf", "envelope-rho-nan", "envelope-e0-inf"])
+    (["envelope", "--rho", "0.9,0.5,", "--steps", "3"],
+     "--rho: expected comma-separated reals, got '0.9,0.5,'"),
+], ids=["sweep-weights-inf", "envelope-rho-nan", "envelope-e0-inf", "envelope-rho-empty-element"])
 def test_non_finite_values_are_refused(tmp_path, capsys, argv, message):
     out_path = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out_path)]) == 1
@@ -833,10 +864,10 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert bytes1 == bytes2
 
 
-def _analyze_json_bytes(matrix_path, out_path, threads):
+def _analyze_json_bytes(matrix_path, out_path, threads, *options):
     result = subprocess.run(
         [sys.executable, "-m", "cimmino", "analyze", "--matrix", str(matrix_path),
-         "--json-out", str(out_path)],
+         "--json-out", str(out_path), *options],
         capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
     )
     assert result.returncode == 0, result.stderr
@@ -860,6 +891,34 @@ def test_analyze_bytes_deterministic_per_blas_thread_count(tmp_path):
             assert first == second, f"{path.name} at {threads} thread(s)"
             by_threads[threads, path.name] = first
     assert by_threads[1, small.name] == by_threads[2, small.name]
+
+
+# Across thread counts each field of analyze's report keeps a bound, with
+# C = 2: eigenvalues and spectral_radius within C n eps max(1, l_n),
+# condition_number within C kappa eps and the optimal rescaling within
+# C n eps, relative.  On this input (weights 2/n, kappa = 4.4e5) 366 of the
+# 400 eigenvalues differ between 1 and 2 threads; over seeds 1-3 as well the
+# largest differences were 5.5e-4 n eps, 0.29 kappa eps and 8.1 eps.
+_THREAD_BOUND = 2.0
+
+
+def test_analyze_fields_keep_their_bounds_at_one_and_two_blas_threads(tmp_path):
+    n = 400
+    write_mm_array(tmp_path / "a.mtx", np.random.default_rng(n).standard_normal((n, n)))
+    weights = ",".join(["0.005"] * n)
+    one, two = (json.loads(_analyze_json_bytes(tmp_path / "a.mtx", tmp_path / "report.json",
+                                               threads, "--weights", weights))
+                for threads in (1, 2))
+    for key in ("n", "weights", "theta", "class", "tight_frame"):
+        assert one[key] == two[key], key
+    eps = np.finfo(np.float64).eps
+    spread = _THREAD_BOUND * n * eps * max(1.0, one["eigenvalues"][-1])
+    assert np.max(np.abs(np.subtract(one["eigenvalues"], two["eigenvalues"]))) <= spread
+    assert abs(one["spectral_radius"] - two["spectral_radius"]) <= spread
+    kappa = one["condition_number"]
+    assert abs(kappa - two["condition_number"]) <= _THREAD_BOUND * kappa * eps * kappa
+    for key in ("optimal_alpha", "optimal_scaled_rate"):
+        assert abs(one[key] - two[key]) <= _THREAD_BOUND * n * eps * abs(one[key]), key
 
 
 def test_solve_bytes_equal_at_one_and_two_blas_threads(tmp_path):
