@@ -263,7 +263,8 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="run the reflection iteration on a system from disk")
     p_solve.add_argument("--matrix", required=True, help="Matrix Market file with the n x n matrix")
-    p_solve.add_argument("--rhs", required=True, help="Matrix Market n x 1 array file with b")
+    p_solve.add_argument("--rhs", required=True,
+                         help="Matrix Market n x 1 array or coordinate file with b")
     p_solve.add_argument("--weights", help="comma-separated positive weights (default: all ones)")
     p_solve.add_argument("--x0", help="comma-separated starting point (default: zeros)")
     p_solve.add_argument("--tol", type=float, default=DEFAULT_RESIDUAL_TOL,

@@ -2,11 +2,12 @@
 
 Readers accept Matrix Market text files (``array`` and ``coordinate``
 formats, ``real`` field, ``general`` or ``symmetric`` storage).  Every CSV
-(trace, sweep, envelope) is written by one table writer, a block of rows at
-a time, so that its memory beyond the columns is one block's; it and the
-JSON report writer share one line writer.  Floats are the shortest decimal
-string that round-trips to the same binary64 value (Python ``repr``), lines
-end in ``\\n``, and the bytes are reproducible for identical inputs.
+(trace, sweep, envelope) gets each column whole from the layer that owns it;
+one table writer renders the columns a block of rows at a time, so its
+memory beyond them is one block's, and it shares one line writer with the
+JSON report writer.  Floats are the shortest decimal string that
+round-trips to the same binary64 value (Python ``repr``), lines end in
+``\\n``, and the bytes are reproducible for identical inputs.
 """
 
 import dataclasses
@@ -198,15 +199,13 @@ def _refuse_first(mask: np.ndarray, reason: str, describe, path) -> None:
 
 
 def read_rhs_vector(path) -> np.ndarray:
-    """Read a right-hand side stored as an n x 1 Matrix Market array file."""
+    """Read an n x 1 Matrix Market file, array or coordinate, as a read-only right-hand side."""
     m = read_matrix_market(path)
     if m.shape[1] != 1:
         raise ValueError(
             f"{path}: right-hand side must be an n x 1 column vector, got {m.shape[0]}x{m.shape[1]}"
         )
-    v = m[:, 0].copy()
-    v.setflags(write=False)
-    return v
+    return m[:, 0]
 
 
 def load_system(matrix_path, rhs_path) -> LinearSystem:
@@ -227,21 +226,20 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
     if trace.error_norms is None:
         errors = ratios = np.broadcast_to("", steps)
     else:
-        errors, ratios = trace.error_norms, _RatioCells(trace.error_norms)
+        errors, ratios = trace.error_norms, _BlankNaN(_aligned_ratios(trace.error_norms))
     write_table_csv(TRACE_CSV_HEADER.split(","),
                     [range(steps), trace.residual_norms, errors, ratios], path)
 
 
-class _RatioCells:
-    """A trace's ratio column, a slice at a time: ``_aligned_ratios``, empty where NaN."""
+class _BlankNaN:
+    """A float column, a slice at a time, with its NaN cells empty."""
 
-    def __init__(self, error_norms):
-        self.error_norms = error_norms
+    def __init__(self, values: np.ndarray):
+        self.values = values
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        start = max(rows.start - 1, 0)  # the slice's first ratio divides by the error before it
-        ratios = _aligned_ratios(self.error_norms[start:rows.stop])[rows.start - start:]
-        return np.where(np.isnan(ratios), "", ratios.astype(object))
+        block = self.values[rows]
+        return np.where(np.isnan(block), "", block.astype(object))
 
 
 def write_table_csv(names, columns, path) -> None:

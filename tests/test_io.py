@@ -286,6 +286,17 @@ def test_read_rhs_vector(tmp_path):
     assert np.array_equal(cio.read_rhs_vector(path), [3.0, 3.0])
 
 
+def test_read_rhs_vector_from_a_coordinate_file(tmp_path):
+    # Entry (2, 1) is unlisted, so it reads as 0.0 in the dense column.
+    path = _write(
+        tmp_path, "b.mtx",
+        "%%MatrixMarket matrix coordinate real general\n3 1 2\n3 1 -1.5\n1 1 3\n",
+    )
+    b = cio.read_rhs_vector(path)
+    assert b.tolist() == [3.0, 0.0, -1.5]
+    assert not b.flags.writeable
+
+
 def test_read_rhs_rejects_row_vector(tmp_path):
     path = _write(
         tmp_path, "b.mtx",

@@ -54,8 +54,14 @@ def write_inputs(d: Path) -> dict:
     paths["A2near"], paths["b2near"] = str(d / "A2near.mtx"), str(d / "b2near.mtx")
     inputs.write_array(paths["A2near"], near)
     inputs.write_array(paths["b2near"], (near @ np.ones(2))[:, None])
-    paths["bad_header"] = str(d / "bad_header.mtx")
-    Path(paths["bad_header"]).write_text("%%MatrixMarket matrix table real general\n2 2\n1\n0\n0\n1\n")
+    for name, text in (
+            ("bad_header", "%%MatrixMarket matrix table real general\n2 2\n1\n0\n0\n1\n"),
+            # example1's b as a coordinate file, its entries out of order.
+            ("b2coord", "%%MatrixMarket matrix coordinate real general\n2 1 2\n1 1 3\n2 1 3\n"),
+            # example1's matrix as a symmetric array file: the lower triangle.
+            ("A2sym", "%%MatrixMarket matrix array real symmetric\n2 2\n2\n1\n2\n")):
+        paths[name] = str(d / f"{name}.mtx")
+        Path(paths[name]).write_text(text)
     return paths
 
 
@@ -78,7 +84,14 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         ("solve-long-trace", ["solve", "--matrix", p["A2near"], "--rhs", p["b2near"],
                               "--max-iter", "20000", "--solution", "1,1",
                               "--trace-out", "trace.csv"]),
+        # Exits 2: error[0] = 0, so row 1's ratio cell is empty and row 2's is not.
+        ("solve-undefined-ratio", ["solve", *ex1, "--x0=4,-7", "--solution=4,-7", "--max-iter", "3",
+                                   "--trace-out", "trace.csv"]),
+        ("solve-rhs-coordinate", ["solve", "--matrix", p["A2"], "--rhs", p["b2coord"],
+                                  "--solution", "1,1", "--trace-out", "trace.csv"]),
         ("analyze-example1", ["analyze", "--matrix", p["A2"], "--json-out", "report.json"]),
+        ("analyze-symmetric-array", ["analyze", "--matrix", p["A2sym"],
+                                     "--json-out", "report.json"]),
         # Every value kind of the report: a list, a string, floats and a false boolean.
         ("analyze-weights", ["analyze", "--matrix", p["A2"], "--weights", "2,2",
                              "--json-out", "report.json"]),
