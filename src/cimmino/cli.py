@@ -102,33 +102,34 @@ def _refuse_large_table(rows: int, what: str, columns: int, per: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    system = cio.load_system(args.matrix, args.rhs)
     weights = None if args.weights is None else _parse_floats(args.weights, "--weights")
     x0 = None if args.x0 is None else _parse_floats(args.x0, "--x0")
     solution = None if args.solution is None else _parse_floats(args.solution, "--solution")
     trace = solve(
-        system,
+        cio.load_system(args.matrix, args.rhs),
         weights=weights,
         x0=x0,
         residual_tol=args.tol,
         max_iter=args.max_iter,
         known_solution=solution,
     )
+    if args.trace_out is not None:
+        cio.write_trace_csv(trace, args.trace_out)
+        print(f"trace written to {args.trace_out}", file=sys.stderr)
     print(f"termination: {trace.terminated.value}")
     print(f"iterations: {trace.iterations}")
     print(f"final_residual: {cio.format_float(trace.residual_norms[-1])}")
     print("x: " + " ".join(map(cio.format_float, trace.final)))
-    if args.trace_out is not None:
-        cio.write_trace_csv(trace, args.trace_out)
-        print(f"trace written to {args.trace_out}", file=sys.stderr)
     return _TERMINATION_EXIT[trace.terminated]
 
 
 def _cmd_analyze(args) -> int:
-    matrix = cio.read_matrix_market(args.matrix)
-    system = LinearSystem(matrix, np.zeros(matrix.shape[0]))
     weights = None if args.weights is None else _parse_floats(args.weights, "--weights")
-    report = analyze(system, weights)
+    matrix = cio.read_matrix_market(args.matrix)
+    report = analyze(LinearSystem(matrix, np.zeros(matrix.shape[0])), weights)
+    if args.json_out is not None:
+        cio.write_report_json(report, args.json_out)
+        print(f"report written to {args.json_out}", file=sys.stderr)
     for key, value in cio.report_document(report).items():
         if key == "theta":
             if value is None:
@@ -137,9 +138,6 @@ def _cmd_analyze(args) -> int:
         if isinstance(value, list):
             value = " ".join(map(cio.format_float, value))
         print(f"{key}: {json.dumps(value) if isinstance(value, bool) else value}")
-    if args.json_out is not None:
-        cio.write_report_json(report, args.json_out)
-        print(f"report written to {args.json_out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -482,6 +482,32 @@ def test_non_finite_options_are_refused_by_name(example1_files, capsys, argv, me
     assert capsys.readouterr() == ("", f"cimmino: error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--matrix", "{mat}", "--rhs", "{rhs}", "--trace-out"], "trace.csv"),
+    (["analyze", "--matrix", "{mat}", "--json-out"], "report.json"),
+], ids=["solve-trace-out", "analyze-json-out"])
+def test_a_failed_write_prints_nothing_on_stdout(example1_files, tmp_path, capsys, argv, name):
+    # Output files are written before the first stdout line, so a run that
+    # exits 1 has printed no result.
+    mat, rhs = example1_files
+    out_path = tmp_path / "missing" / name
+    assert cli.main([arg.format(mat=mat, rhs=rhs) for arg in argv] + [str(out_path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"cimmino: error: [Errno 2] No such file or directory: '{out_path}'\n")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("solve", "--weights"), ("solve", "--x0"), ("solve", "--solution"), ("analyze", "--weights"),
+], ids=["solve-weights", "solve-x0", "solve-solution", "analyze-weights"])
+def test_options_are_refused_before_any_file_is_opened(tmp_path, capsys, command, option):
+    absent = str(tmp_path / "absent.mtx")
+    rhs = ["--rhs", absent] if command == "solve" else []
+    assert cli.main([command, "--matrix", absent, *rhs, option, "1,,1"]) == 1
+    err = capsys.readouterr().err
+    assert f"{option}: expected comma-separated reals, got '1,,1'" in err
+    assert "No such file" not in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ Stdout, stderr, the exit code and every file the run writes are compared
 byte for byte.  Inputs are written once, by ``perfbench/inputs.py`` of the
 working tree, and shared.
 The ``refuse-*`` cases give input that the program must refuse; one that
-does not exit 1 on both sides counts as differing.
+does not exit 1 on both sides, or that prints on stdout in the working
+tree, counts as differing.  The ``help`` cases print each command's
+usage text, so an option that is added, removed or renamed shows as a
+difference.
 The worktree is removed at exit.  Exit status 0 when every case is
 identical, 1 when any differs.
 """
@@ -69,6 +72,9 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
     """(name, argv) of every case; output paths are relative to the run directory."""
     ex1 = ["--matrix", p["A2"], "--rhs", p["b2"]]
     return [
+        ("help", ["--help"]),
+        *((f"help-{name}", [name, "--help"])
+          for name in ("solve", "analyze", "sweep", "envelope", "demo")),
         *((f"demo-{name}", ["demo", name]) for name in ("example1", "example2", "figure1")),
         ("sweep", ["sweep", "--theta-grid", "10:170:1",
                    "--weights", "1,1;1.4,1.4;0.5,1.5;0.2,0.2", "--out", "sweep.csv"]),
@@ -148,6 +154,13 @@ def cases(p: dict) -> list[tuple[str, list[str]]]:
         # 1000 rows x 1001 rates: each row count is in range, the table is not.
         ("refuse-table", ["envelope", "--rho", ",".join(["0.5"] * 1001), "--steps", "999",
                           "--out", "env.csv"]),
+        # An output path in a directory that does not exist: refused after the run.
+        ("refuse-trace-out-unwritable", ["solve", *ex1, "--trace-out", "missing/trace.csv"]),
+        ("refuse-json-out-unwritable", ["analyze", "--matrix", p["A2"],
+                                        "--json-out", "missing/report.json"]),
+        # The option is refused before either file is opened.
+        ("refuse-option-before-read", ["solve", "--matrix", "absent.mtx", "--rhs", "absent.mtx",
+                                       "--weights", "1,,1"]),
     ]
 
 
@@ -183,6 +196,8 @@ def main() -> int:
                                                     old, new) if a != b]
                 if name.startswith("refuse-") and not old[0] == new[0] == 1:
                     parts.append("exit code (a refusal exits 1)")
+                if name.startswith("refuse-") and new[1]:
+                    parts.append("stdout (a refusal prints nothing there)")
                 differ += bool(parts)
                 print(f"{name}: exit {old[0]} -> {new[0]}, "
                       + (f"DIFFERS in {', '.join(parts)}" if parts else "identical"))
